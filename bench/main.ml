@@ -1,6 +1,7 @@
 (** Benchmark harness.
 
-    Two parts, together regenerating every paper-derived table and figure:
+    Three layers, together regenerating every paper-derived table and
+    figure:
 
     1. The experiment tables (E1..E7 from DESIGN.md) — step counts, space,
        covering adversary, wraparound, tradeoff products — printed by the
@@ -8,12 +9,20 @@
        quantities the paper's theorems are about, measured in the
        simulator's step model where they are exact.
     2. Bechamel wall-clock benchmarks of the runtime ([Atomic]-based)
-       ports — one group per theorem/figure — plus a multicore throughput
-       table for the Treiber stack variants.  Wall-clock numbers depend on
-       the host; the step-model tables above are the primary result. *)
+       ports, one group per theorem/figure plus the hot-path allocation
+       groups.
+    3. The multicore bench parts of {!Aba_experiments.Part} (throughput,
+       scalability, latency percentiles, queues, service, protections,
+       recovery), the same code [aba_lab <part>] runs, emitted as JSON
+       with [--json] and checked against their invariants on every run.
+
+    Wall-clock numbers depend on the host; the step-model tables are the
+    primary result. *)
 
 open Bechamel
 open Toolkit
+module Part = Aba_experiments.Part
+module Row = Aba_experiments.Row
 
 (* ----- Bechamel plumbing ----- *)
 
@@ -41,24 +50,22 @@ let benchmark_report ?(alloc = false) name tests =
         | Some _ | None -> nan)
   in
   let times = Analyze.all ols Instance.monotonic_clock raw in
+  let allocs =
+    if alloc then Some (Analyze.all ols Instance.minor_allocated raw) else None
+  in
   let keys =
     List.sort compare (Hashtbl.fold (fun key _ acc -> key :: acc) times [])
   in
-  if alloc then begin
-    let allocs = Analyze.all ols Instance.minor_allocated raw in
-    Printf.printf "\n%s (ns/op, minor words/op):\n" name;
-    List.iter
-      (fun key ->
-        Printf.printf "  %-44s %10.1f %10.2f\n" key (estimate times key)
-          (estimate allocs key))
-      keys
-  end
-  else begin
-    Printf.printf "\n%s (ns/op):\n" name;
-    List.iter
-      (fun key -> Printf.printf "  %-44s %10.1f\n" key (estimate times key))
-      keys
-  end
+  Printf.printf "\n%s:\n" name;
+  Row.print_table
+    (List.map
+       (fun key ->
+         Row.[ ("bench", Str key); ("ns_per_op", Float (estimate times key)) ]
+         @
+         match allocs with
+         | Some a -> Row.[ ("minor_words_per_op", Float (estimate a key)) ]
+         | None -> [])
+       keys)
 
 let staged f = Staged.stage f
 
@@ -127,140 +134,27 @@ let aba_register_tests =
            Aba_runtime.Rt_aba.From_llsc.dwrite from_llsc ~pid:0 7));
   ]
 
-(* ----- Unified vs. hand-written hot paths ----- *)
-
-(* The pre-unification hand-written runtime ports, kept verbatim here as
-   baselines: since PR 2, [Rt_llsc.Packed_fig3] and [Rt_aba.Fig4] are the
-   lib/core functors instantiated over [Rt_mem], and this group checks the
-   unified hot paths cost no more time and allocate no more than the
-   direct ports they replaced. *)
-module Handwritten = struct
-  module Packed_fig3 = struct
-    type t = { n : int; x : int Atomic.t; b : bool array }
-
-    let create ~n ~init = { n; x = Atomic.make (init lsl n); b = Array.make n false }
-    let mask_of t packed = packed land ((1 lsl t.n) - 1)
-    let value_of t packed = packed lsr t.n
-    let bit_set t packed p = (mask_of t packed lsr p) land 1 = 1
-    let all_set t = (1 lsl t.n) - 1
-
-    let ll t ~pid:p =
-      let packed = Atomic.get t.x in
-      if not (bit_set t packed p) then begin
-        t.b.(p) <- false;
-        value_of t packed
-      end
-      else begin
-        let rec attempt i =
-          if i > t.n then begin
-            t.b.(p) <- true;
-            value_of t packed
-          end
-          else begin
-            let seen = Atomic.get t.x in
-            if Atomic.compare_and_set t.x seen (seen - (1 lsl p)) then begin
-              t.b.(p) <- false;
-              value_of t seen
-            end
-            else attempt (i + 1)
-          end
-        in
-        attempt 1
-      end
-
-    let sc t ~pid:p y =
-      if t.b.(p) then false
-      else begin
-        let rec attempt i =
-          if i > t.n then false
-          else begin
-            let seen = Atomic.get t.x in
-            if bit_set t seen p then false
-            else if
-              Atomic.compare_and_set t.x seen ((y lsl t.n) lor all_set t)
-            then true
-            else attempt (i + 1)
-          end
-        in
-        attempt 1
-      end
-  end
-
-  module Fig4 = struct
-    type 'a xval = { value : 'a; writer : int; seq : int }
-    type 'a local = { mutable b : bool; pool : Aba_core.Seq_pool.t }
-
-    type 'a t = {
-      x : 'a xval option Atomic.t;
-      announce : (int * int) option Atomic.t array;
-      locals : 'a local array;
-      initial : 'a;
-    }
-
-    let create ~n init =
-      {
-        x = Atomic.make None;
-        announce = Array.init n (fun _ -> Atomic.make None);
-        locals =
-          Array.init n (fun _ ->
-              { b = false; pool = Aba_core.Seq_pool.create ~n () });
-        initial = init;
-      }
-
-    let dwrite t ~pid v =
-      let l = t.locals.(pid) in
-      let s =
-        Aba_core.Seq_pool.next l.pool ~me:pid ~read_announce:(fun c ->
-            Atomic.get t.announce.(c))
-      in
-      Atomic.set t.x (Some { value = v; writer = pid; seq = s })
-
-    let key = function
-      | None -> None
-      | Some { writer; seq; _ } -> Some (writer, seq)
-
-    let dread t ~pid:q =
-      let l = t.locals.(q) in
-      let xv = Atomic.get t.x in
-      let old_announcement = Atomic.get t.announce.(q) in
-      Atomic.set t.announce.(q) (key xv);
-      let xv' = Atomic.get t.x in
-      let flag = if key xv = old_announcement then l.b else true in
-      l.b <- xv <> xv';
-      let value =
-        match xv with None -> t.initial | Some { value; _ } -> value
-      in
-      (value, flag)
-  end
-end
-
-let unified_vs_handwritten_tests =
+(* The hot-path allocation claim of the functor ports: [Rt_llsc.Packed_fig3]
+   and [Rt_aba.Fig4] are the lib/core functors instantiated over [Rt_mem],
+   and their hot paths allocate nothing beyond the result (0 minor
+   words/op on ll+sc with padding on: the contention-management layout
+   costs nothing per operation). *)
+let alloc_tests =
   let n = 8 in
-  (* Padding enabled: the claim is that the contention-management layout
-     costs nothing per operation — still 0 words/op on ll+sc. *)
-  let u_llsc = Aba_runtime.Rt_llsc.Packed_fig3.create ~padded:true ~n ~init:0 () in
-  let h_llsc = Handwritten.Packed_fig3.create ~n ~init:0 in
-  let u_fig4 = Aba_runtime.Rt_aba.Fig4.create ~n 0 in
-  let h_fig4 = Handwritten.Fig4.create ~n 0 in
-  ignore (Aba_runtime.Rt_aba.Fig4.dread u_fig4 ~pid:1);
-  ignore (Handwritten.Fig4.dread h_fig4 ~pid:1);
+  let llsc =
+    Aba_runtime.Rt_llsc.Packed_fig3.create ~padded:true ~n ~init:0 ()
+  in
+  let fig4 = Aba_runtime.Rt_aba.Fig4.create ~n 0 in
+  ignore (Aba_runtime.Rt_aba.Fig4.dread fig4 ~pid:1);
   [
-    Test.make ~name:"fig3.ll+sc unified-padded n=8"
+    Test.make ~name:"fig3.ll+sc padded n=8"
       (staged (fun () ->
-           ignore (Aba_runtime.Rt_llsc.Packed_fig3.ll u_llsc ~pid:1);
-           ignore (Aba_runtime.Rt_llsc.Packed_fig3.sc u_llsc ~pid:1 5)));
-    Test.make ~name:"fig3.ll+sc handwritten n=8"
-      (staged (fun () ->
-           ignore (Handwritten.Packed_fig3.ll h_llsc ~pid:1);
-           ignore (Handwritten.Packed_fig3.sc h_llsc ~pid:1 5)));
-    Test.make ~name:"fig4.dread unified n=8"
-      (staged (fun () -> ignore (Aba_runtime.Rt_aba.Fig4.dread u_fig4 ~pid:1)));
-    Test.make ~name:"fig4.dread handwritten n=8"
-      (staged (fun () -> ignore (Handwritten.Fig4.dread h_fig4 ~pid:1)));
-    Test.make ~name:"fig4.dwrite unified n=8"
-      (staged (fun () -> Aba_runtime.Rt_aba.Fig4.dwrite u_fig4 ~pid:0 7));
-    Test.make ~name:"fig4.dwrite handwritten n=8"
-      (staged (fun () -> Handwritten.Fig4.dwrite h_fig4 ~pid:0 7));
+           ignore (Aba_runtime.Rt_llsc.Packed_fig3.ll llsc ~pid:1);
+           ignore (Aba_runtime.Rt_llsc.Packed_fig3.sc llsc ~pid:1 5)));
+    Test.make ~name:"fig4.dread n=8"
+      (staged (fun () -> ignore (Aba_runtime.Rt_aba.Fig4.dread fig4 ~pid:1)));
+    Test.make ~name:"fig4.dwrite n=8"
+      (staged (fun () -> Aba_runtime.Rt_aba.Fig4.dwrite fig4 ~pid:0 7));
   ]
 
 (* Motivation: Treiber stack push+pop latency per protection, including
@@ -359,464 +253,6 @@ let ablation_fig3 () =
         m.Aba_lowerbound.Tradeoff.worst_sc)
     [ 3; 4; 8; 16; 24; 32 ]
 
-(* Multicore throughput (ops/s) for the stack variants; returns the rows
-   so they can be emitted as JSON alongside the reclamation table. *)
-let multicore_treiber ~domains ~ops () =
-  Printf.printf
-    "\nMulticore Treiber throughput (%d domains x %d ops, %d cores):\n"
-    domains ops (Aba_runtime.Harness.available_parallelism ());
-  List.map
-    (fun (name, protection) ->
-      let s =
-        Aba_runtime.Rt_treiber.create ~protection ~capacity:1024 ~n:domains ()
-      in
-      let t0 = Aba_obs.Clock.now_ns () in
-      let _ =
-        Aba_runtime.Harness.run_domains ~n:domains (fun d ->
-            for i = 1 to ops do
-              ignore (Aba_runtime.Rt_treiber.push s ~pid:d i);
-              ignore (Aba_runtime.Rt_treiber.pop s ~pid:d)
-            done)
-      in
-      let dt = Aba_obs.Clock.elapsed_s t0 in
-      let throughput = float_of_int (2 * domains * ops) /. dt in
-      Printf.printf "  %-8s %10.0f ops/s\n" name throughput;
-      (name, domains, ops, throughput))
-    [
-      ("naive", Aba_runtime.Rt_treiber.Tag_bits 0);
-      ("tag16", Aba_runtime.Rt_treiber.Tag_bits 16);
-      ("llsc", Aba_runtime.Rt_treiber.Llsc);
-    ]
-
-(* ----- Domain-scalability sweep -----
-
-   The contention-management layer (padding + backoff) only shows up
-   under real parallelism, which bechamel's single-domain harness cannot
-   see.  This sweep runs the contended hot paths at every domain count
-   from 1 to [max_domains], on both ends of the padded and backoff axes,
-   so the JSON output carries the full scalability curves. *)
-
-type sweep_row = {
-  sw_bench : string;
-  sw_config : string;
-  sw_padded : bool;
-  sw_backoff : bool;
-  sw_elim : bool;  (** elimination (stacks) / combining (fig4) enabled *)
-  sw_domains : int;
-  sw_ops : int;  (** per-domain operation count *)
-  sw_throughput : float;
-  sw_ns_per_op : float;
-  sw_exchanges : int;  (** eliminated pairs, or adopted snapshots (fig4) *)
-  sw_collisions : int;  (** busy-slot collisions, or scan fallbacks (fig4) *)
-}
-
-(* Monotonic: wall time (gettimeofday) is subject to NTP slew, which can
-   corrupt ns/op mid-run or even send an interval negative. *)
-let time_domains ~domains body =
-  let t0 = Aba_obs.Clock.now_ns () in
-  let _ = Aba_runtime.Harness.run_domains ~n:domains body in
-  Aba_obs.Clock.elapsed_s t0
-
-(* The 2x2 cross of the two contention axes. *)
-let sweep_configs =
-  [
-    ("bare", false, false);
-    ("padded", true, false);
-    ("backoff", false, true);
-    ("padded+backoff", true, true);
-  ]
-
-let scalability_sweep ~max_domains ~ops ~elimination () =
-  Printf.printf "\nDomain-scalability sweep (1..%d domains, %d ops/domain):\n"
-    max_domains ops;
-  let rows = ref [] in
-  let record ?(elim = false) ?(exchanges = 0) ?(collisions = 0) sw_bench
-      sw_config sw_padded sw_backoff sw_domains total_ops dt =
-    let sw_throughput = float_of_int total_ops /. dt in
-    let sw_ns_per_op = dt *. 1e9 /. float_of_int total_ops in
-    Printf.printf "  %-18s %-22s d=%-3d %12.0f ops/s %9.1f ns/op\n" sw_bench
-      sw_config sw_domains sw_throughput sw_ns_per_op;
-    rows :=
-      {
-        sw_bench;
-        sw_config;
-        sw_padded;
-        sw_backoff;
-        sw_elim = elim;
-        sw_domains;
-        sw_ops = ops;
-        sw_throughput;
-        sw_ns_per_op;
-        sw_exchanges = exchanges;
-        sw_collisions = collisions;
-      }
-      :: !rows
-  in
-  (* Time a paired push/pop loop over a stack and record its row together
-     with the elimination counters (zero when the stack has no exchanger).
-     The paired mix keeps the stack near empty, so with several domains
-     pushers and poppers actually meet — the workload the exchanger is
-     for. *)
-  let treiber_case ~bench ~config ~padded ~backoff ~elim ~protection d =
-    let espec =
-      if elim then Aba_runtime.Elimination.default_spec
-      else Aba_runtime.Elimination.Noop
-    in
-    let s =
-      Aba_runtime.Rt_treiber.create ~padded ~backoff ~elimination:espec
-        ~protection ~capacity:1024 ~n:d ()
-    in
-    let dt =
-      time_domains ~domains:d (fun pid ->
-          for i = 1 to ops do
-            ignore (Aba_runtime.Rt_treiber.push s ~pid i);
-            ignore (Aba_runtime.Rt_treiber.pop s ~pid)
-          done)
-    in
-    let exchanges, collisions =
-      match Aba_runtime.Rt_treiber.elimination_stats s with
-      | None -> (0, 0)
-      | Some st ->
-          (st.Aba_runtime.Elimination.exchanges,
-           st.Aba_runtime.Elimination.collisions)
-    in
-    let config = if elim then config ^ "+elim" else config in
-    record ~elim ~exchanges ~collisions bench config padded backoff d
-      (2 * d * ops) dt
-  in
-  for d = 1 to max_domains do
-    List.iter
-      (fun (config, padded, backoff) ->
-        let spec =
-          if backoff then Aba_primitives.Backoff.default_spec
-          else Aba_primitives.Backoff.Noop
-        in
-        (* Figure 3: every domain hammers the one bounded-CAS word. *)
-        let l =
-          Aba_runtime.Rt_llsc.Packed_fig3.create ~padded ~backoff:spec ~n:d
-            ~init:0 ()
-        in
-        let dt =
-          time_domains ~domains:d (fun pid ->
-              for i = 1 to ops do
-                ignore (Aba_runtime.Rt_llsc.Packed_fig3.ll l ~pid);
-                ignore (Aba_runtime.Rt_llsc.Packed_fig3.sc l ~pid i)
-              done)
-        in
-        record "fig3.ll+sc" config padded backoff d (2 * d * ops) dt;
-        (* Treiber over the Figure-3 LL/SC word: contended head plus the
-           free-list traffic.  With [--elimination] each cell is run on
-           both ends of the elimination axis — the full 2x2x2 cross. *)
-        treiber_case ~bench:"treiber.push+pop" ~config ~padded ~backoff
-          ~elim:false ~protection:Aba_runtime.Rt_treiber.Llsc d;
-        if elimination then
-          treiber_case ~bench:"treiber.push+pop" ~config ~padded ~backoff
-            ~elim:true ~protection:Aba_runtime.Rt_treiber.Llsc d;
-        (* MS queue, counted-pointer variant: head, tail and the link
-           words are all contended. *)
-        let q =
-          Aba_runtime.Rt_ms_queue.create ~padded ~backoff
-            ~protection:(Aba_runtime.Rt_ms_queue.Tag_bits 16) ~capacity:1024
-            ~n:d ()
-        in
-        let dt =
-          time_domains ~domains:d (fun pid ->
-              for i = 1 to ops do
-                ignore (Aba_runtime.Rt_ms_queue.enqueue q ~pid i);
-                ignore (Aba_runtime.Rt_ms_queue.dequeue q ~pid)
-              done)
-        in
-        record "msqueue.enq+deq" config padded backoff d (2 * d * ops) dt;
-        (* Figure 4 is wait-free — no retry loop for backoff to pace — so
-           only the padding axis is swept; the combining axis rides on the
-           elimination flag (read-side analogue of the exchanger). *)
-        if not backoff then begin
-          let fig4_case ~combining =
-            let r =
-              Aba_runtime.Rt_aba.Fig4.create ~padded ~combining ~n:d 0
-            in
-            let dt =
-              time_domains ~domains:d (fun pid ->
-                  for i = 1 to ops do
-                    Aba_runtime.Rt_aba.Fig4.dwrite r ~pid i
-                  done)
-            in
-            if not combining then
-              record "fig4.dwrite" config padded backoff d (d * ops) dt;
-            let dt =
-              time_domains ~domains:d (fun pid ->
-                  for _ = 1 to ops do
-                    ignore (Aba_runtime.Rt_aba.Fig4.dread r ~pid)
-                  done)
-            in
-            let exchanges, collisions =
-              match Aba_runtime.Rt_aba.Fig4.combining_stats r with
-              | None -> (0, 0)
-              | Some st ->
-                  (st.Aba_core.Combining.adopted,
-                   st.Aba_core.Combining.fallbacks)
-            in
-            let config = if combining then config ^ "+combining" else config in
-            record ~elim:combining ~exchanges ~collisions "fig4.dread" config
-              padded backoff d (d * ops) dt
-          in
-          fig4_case ~combining:false;
-          if elimination then fig4_case ~combining:true
-        end)
-      sweep_configs;
-    (* The other two head protections, at the production config only
-       (padded+backoff), on both ends of the elimination axis: the
-       exchanger is protection-agnostic and the claim is it helps all
-       three. *)
-    if elimination then
-      List.iter
-        (fun (bench, protection) ->
-          List.iter
-            (fun elim ->
-              treiber_case ~bench ~config:"padded+backoff" ~padded:true
-                ~backoff:true ~elim ~protection d)
-            [ false; true ])
-        [
-          ("treiber-tag16.push+pop", Aba_runtime.Rt_treiber.Tag_bits 16);
-          ( "treiber-hazard.push+pop",
-            Aba_runtime.Rt_treiber.Reclaimed Aba_runtime.Rt_reclaim.Hazard );
-        ]
-  done;
-  List.rev !rows
-
-(* ----- Latency percentiles (Obs-instrumented contended runs) -----
-
-   The sweep above reports means; tail latency is where contention
-   actually hurts.  Each case here runs a contended workload with a live
-   {!Aba_obs.Obs} handle (histograms only, no trace) and reports the
-   per-kind log2-bucket percentiles.  Percentile values are bucket upper
-   bounds, so p50 <= p90 <= p99 <= p999 by construction. *)
-
-module Obs = Aba_obs.Obs
-
-type percentile_row = {
-  lp_bench : string;
-  lp_kind : string;
-  lp_domains : int;
-  lp_ops : int;  (** per-domain operation count of the driving loop *)
-  lp_count : int;  (** events recorded for this kind *)
-  lp_retries : int;
-  lp_p50 : int;
-  lp_p90 : int;
-  lp_p99 : int;
-  lp_p999 : int;
-}
-
-let latency_percentiles ~domains ~ops () =
-  Printf.printf "\nLatency percentiles (%d domains x %d ops/domain, ns):\n"
-    domains ops;
-  Printf.printf "  %-16s %-8s %9s %9s %8s %8s %8s %8s\n" "bench" "kind"
-    "count" "retries" "p50" "p90" "p99" "p999";
-  let rows = ref [] in
-  let case lp_bench setup body =
-    let obs = Obs.create ~trace:0 ~n:domains () in
-    let st = setup obs in
-    let _ = Aba_runtime.Harness.run_domains ~n:domains (fun pid -> body st pid) in
-    List.iter
-      (fun kind ->
-        let count = Obs.op_count obs kind in
-        match Obs.histogram obs kind with
-        | Some h when count > 0 ->
-            let s = Aba_obs.Histogram.summarize h in
-            let row =
-              {
-                lp_bench;
-                lp_kind = Obs.kind_name kind;
-                lp_domains = domains;
-                lp_ops = ops;
-                lp_count = count;
-                lp_retries = Obs.retry_count obs kind;
-                lp_p50 = s.Aba_obs.Histogram.p50;
-                lp_p90 = s.Aba_obs.Histogram.p90;
-                lp_p99 = s.Aba_obs.Histogram.p99;
-                lp_p999 = s.Aba_obs.Histogram.p999;
-              }
-            in
-            Printf.printf "  %-16s %-8s %9d %9d %8d %8d %8d %8d\n" row.lp_bench
-              row.lp_kind row.lp_count row.lp_retries row.lp_p50 row.lp_p90
-              row.lp_p99 row.lp_p999;
-            rows := row :: !rows
-        | Some _ | None -> ())
-      Obs.all_kinds
-  in
-  let paired_stack s pid =
-    for i = 1 to ops do
-      ignore (Aba_runtime.Rt_treiber.push s ~pid i);
-      ignore (Aba_runtime.Rt_treiber.pop s ~pid)
-    done
-  in
-  case "treiber-llsc"
-    (fun obs ->
-      Aba_runtime.Rt_treiber.create ~obs
-        ~protection:Aba_runtime.Rt_treiber.Llsc ~capacity:1024 ~n:domains ())
-    paired_stack;
-  (* The hazard variant also reports [Retire]: the latency spike of the
-     amortised scan shows up in its p99/p999. *)
-  case "treiber-hazard"
-    (fun obs ->
-      Aba_runtime.Rt_treiber.create ~obs
-        ~protection:
-          (Aba_runtime.Rt_treiber.Reclaimed Aba_runtime.Rt_reclaim.Hazard)
-        ~capacity:1024 ~n:domains ())
-    paired_stack;
-  case "msqueue-tag16"
-    (fun obs ->
-      Aba_runtime.Rt_ms_queue.create ~obs
-        ~protection:(Aba_runtime.Rt_ms_queue.Tag_bits 16) ~capacity:1024
-        ~n:domains ())
-    (fun q pid ->
-      for i = 1 to ops do
-        ignore (Aba_runtime.Rt_ms_queue.enqueue q ~pid i);
-        ignore (Aba_runtime.Rt_ms_queue.dequeue q ~pid)
-      done);
-  case "fig3"
-    (fun obs ->
-      Aba_runtime.Rt_llsc.Packed_fig3.create ~padded:true
-        ~backoff:Aba_primitives.Backoff.default_spec ~obs ~n:domains ~init:0 ())
-    (fun l pid ->
-      for i = 1 to ops do
-        ignore (Aba_runtime.Rt_llsc.Packed_fig3.ll l ~pid);
-        ignore (Aba_runtime.Rt_llsc.Packed_fig3.sc l ~pid i)
-      done);
-  case "fig4"
-    (fun obs -> Aba_runtime.Rt_aba.Fig4.create ~padded:true ~obs ~n:domains 0)
-    (fun r pid ->
-      for i = 1 to ops do
-        Aba_runtime.Rt_aba.Fig4.dwrite r ~pid i;
-        ignore (Aba_runtime.Rt_aba.Fig4.dread r ~pid)
-      done);
-  List.rev !rows
-
-(* ----- Part 6: bounded-queue capacity sweep -----
-
-   The ingress tier: the lock-free ring, its blocking (backpressure)
-   wrapper and the two-lock baseline, across a producers x consumers x
-   capacity grid.  The skewed cells put the queue under the two boundary
-   pressures — more producers than consumers against a tiny capacity
-   keeps it full (enqueue [Fail] / [Wait_full] traffic), the converse
-   keeps it empty ([Empty] / [Wait_empty]) — and each cell's Obs
-   histograms become per-kind latency percentile rows.  The blocking
-   wrapper's wait phase is recorded separately from the ring's own
-   operations, so the rows distinguish "the CAS was contended" from "the
-   queue was at its bound". *)
-
-type capacity_row = {
-  cs_impl : string;  (** ring-lf | ring-blocking | two-lock *)
-  cs_producers : int;
-  cs_consumers : int;
-  cs_capacity : int;
-  cs_kind : string;
-  cs_count : int;  (** events recorded for this kind *)
-  cs_retries : int;
-  cs_ops : int;  (** enqueues per producer *)
-  cs_throughput : float;  (** transferred items per second, whole cell *)
-  cs_p50 : int;
-  cs_p90 : int;
-  cs_p99 : int;
-  cs_p999 : int;
-}
-
-(* One bounded queue reduced to the two closures the workload needs. *)
-let queue_impls =
-  [
-    ( "ring-lf",
-      fun obs ~capacity ~n ->
-        let q = Aba_queue.Rt_ring.create ~obs ~capacity ~n () in
-        ( (fun ~pid v -> Aba_queue.Rt_ring.try_enqueue q ~pid v),
-          fun ~pid -> Aba_queue.Rt_ring.try_dequeue q ~pid ) );
-    ( "ring-blocking",
-      fun obs ~capacity ~n ->
-        let q = Aba_queue.Blocking.create ~obs ~capacity ~n () in
-        ( (fun ~pid v -> Aba_queue.Blocking.enqueue q ~pid v),
-          fun ~pid -> Aba_queue.Blocking.dequeue q ~pid ) );
-    ( "two-lock",
-      fun obs ~capacity ~n ->
-        let q = Aba_queue.Two_lock_queue.create ~obs ~capacity ~n () in
-        ( (fun ~pid v -> Aba_queue.Two_lock_queue.try_enqueue q ~pid v),
-          fun ~pid -> Aba_queue.Two_lock_queue.try_dequeue q ~pid ) );
-  ]
-
-let capacity_sweep ~grid ~capacities ~ops () =
-  Printf.printf "\nCapacity sweep (bounded queues, %d enqueues/producer):\n" ops;
-  Printf.printf "  %-14s %5s %3s %3s %-10s %9s %9s %8s %8s %8s %8s %12s\n"
-    "impl" "cap" "p" "c" "kind" "count" "retries" "p50" "p90" "p99" "p999"
-    "items/s";
-  let rows = ref [] in
-  let cell ~producers ~consumers ~capacity (cs_impl, build) =
-    let n = producers + consumers in
-    let obs = Obs.create ~trace:0 ~n () in
-    let enq, deq = build obs ~capacity ~n in
-    let total = producers * ops in
-    let consumed = Atomic.make 0 in
-    let t0 = Aba_obs.Clock.now_ns () in
-    let _ =
-      Aba_runtime.Harness.run_domains ~n (fun pid ->
-          if pid < producers then
-            (* Producers push a fixed quota; a Fail/Timeout verdict is
-               recorded by the queue itself, then retried here. *)
-            for i = 1 to ops do
-              while not (enq ~pid i) do
-                Domain.cpu_relax ()
-              done
-            done
-          else
-            (* Consumers drain until every produced item is accounted
-               for; the blocking dequeue's bounded wait window keeps the
-               final laps from hanging once producers are done. *)
-            while Atomic.get consumed < total do
-              match deq ~pid with
-              | Some _ -> Atomic.incr consumed
-              | None -> Domain.cpu_relax ()
-            done)
-    in
-    let dt = Aba_obs.Clock.elapsed_s t0 in
-    let cs_throughput = float_of_int total /. dt in
-    List.iter
-      (fun kind ->
-        let count = Obs.op_count obs kind in
-        match Obs.histogram obs kind with
-        | Some h when count > 0 ->
-            let s = Aba_obs.Histogram.summarize h in
-            let row =
-              {
-                cs_impl;
-                cs_producers = producers;
-                cs_consumers = consumers;
-                cs_capacity = capacity;
-                cs_kind = Obs.kind_name kind;
-                cs_count = count;
-                cs_retries = Obs.retry_count obs kind;
-                cs_ops = ops;
-                cs_throughput;
-                cs_p50 = s.Aba_obs.Histogram.p50;
-                cs_p90 = s.Aba_obs.Histogram.p90;
-                cs_p99 = s.Aba_obs.Histogram.p99;
-                cs_p999 = s.Aba_obs.Histogram.p999;
-              }
-            in
-            Printf.printf
-              "  %-14s %5d %3d %3d %-10s %9d %9d %8d %8d %8d %8d %12.0f\n"
-              row.cs_impl row.cs_capacity row.cs_producers row.cs_consumers
-              row.cs_kind row.cs_count row.cs_retries row.cs_p50 row.cs_p90
-              row.cs_p99 row.cs_p999 row.cs_throughput;
-            rows := row :: !rows
-        | Some _ | None -> ())
-      Obs.all_kinds
-  in
-  List.iter
-    (fun (producers, consumers) ->
-      List.iter
-        (fun capacity ->
-          List.iter (cell ~producers ~consumers ~capacity) queue_impls)
-        capacities)
-    grid;
-  List.rev !rows
-
 (* The ring's hot-path allocation claim: 0.00 minor words/op on an
    uncontended enqueue + [dequeue_or] pair (the counters are immediate-int
    hardware CAS words, the retry loops are module-level recursion, and
@@ -885,279 +321,7 @@ let announced_hotpath_tests =
              (Aba_runtime.Rt_ms_queue.dequeue_or q ~pid:1 ~default:0 : int)));
   ]
 
-(* ----- Part 8: protection sweep (wraparound-safe tags vs reclaimers) -----
-
-   The head-to-head the [Announced] protection exists for: the same
-   contended paired churn as the percentile cases, across every
-   protection regime of both structures, with throughput and per-kind
-   tail latency in one table.  The announced rows run at k = 8 (half
-   window 128) so the crossing scans actually fire at smoke op counts
-   and show up as [scan] rows — their count per op is the "no per-op
-   scan" claim made measurable.  Reclaimer rows must have no scan rows
-   at all (their cost shows as [retire] events instead); CI validates
-   exactly that shape. *)
-
-type protection_row = {
-  pv_structure : string;
-  pv_protection : string;
-  pv_domains : int;
-  pv_ops : int;  (** per-domain operation pairs of the driving loop *)
-  pv_kind : string;
-  pv_count : int;
-  pv_retries : int;
-  pv_throughput : float;  (** total ops/s of the whole churn *)
-  pv_p50 : int;
-  pv_p90 : int;
-  pv_p99 : int;
-  pv_p999 : int;
-}
-
-let protection_sweep ~domains ~ops () =
-  Printf.printf "\nProtection sweep (%d domains x %d op-pairs/domain, ns):\n"
-    domains ops;
-  Printf.printf "  %-9s %-11s %-8s %9s %8s %12s %8s %8s %8s %8s\n" "struct"
-    "protection" "kind" "count" "retries" "ops/s" "p50" "p90" "p99" "p999";
-  let rows = ref [] in
-  let case pv_structure pv_protection setup body =
-    let obs = Obs.create ~trace:0 ~n:domains () in
-    let st = setup obs in
-    let t0 = Aba_obs.Clock.now_ns () in
-    let _ =
-      Aba_runtime.Harness.run_domains ~n:domains (fun pid -> body st pid)
-    in
-    let dt = Aba_obs.Clock.elapsed_s t0 in
-    let pv_throughput = float_of_int (2 * domains * ops) /. dt in
-    List.iter
-      (fun kind ->
-        let count = Obs.op_count obs kind in
-        match Obs.histogram obs kind with
-        | Some h when count > 0 ->
-            let s = Aba_obs.Histogram.summarize h in
-            let row =
-              {
-                pv_structure;
-                pv_protection;
-                pv_domains = domains;
-                pv_ops = ops;
-                pv_kind = Obs.kind_name kind;
-                pv_count = count;
-                pv_retries = Obs.retry_count obs kind;
-                pv_throughput;
-                pv_p50 = s.Aba_obs.Histogram.p50;
-                pv_p90 = s.Aba_obs.Histogram.p90;
-                pv_p99 = s.Aba_obs.Histogram.p99;
-                pv_p999 = s.Aba_obs.Histogram.p999;
-              }
-            in
-            Printf.printf
-              "  %-9s %-11s %-8s %9d %8d %12.0f %8d %8d %8d %8d\n"
-              row.pv_structure row.pv_protection row.pv_kind row.pv_count
-              row.pv_retries row.pv_throughput row.pv_p50 row.pv_p90
-              row.pv_p99 row.pv_p999;
-            rows := row :: !rows
-        | Some _ | None -> ())
-      Obs.all_kinds
-  in
-  List.iter
-    (fun (name, protection) ->
-      case "treiber" name
-        (fun obs ->
-          Aba_runtime.Rt_treiber.create ~obs ~protection ~capacity:1024
-            ~n:domains ())
-        (fun s pid ->
-          for i = 1 to ops do
-            ignore (Aba_runtime.Rt_treiber.push s ~pid i);
-            ignore (Aba_runtime.Rt_treiber.pop s ~pid)
-          done))
-    [
-      ("tag16", Aba_runtime.Rt_treiber.Tag_bits 16);
-      ("announced8", Aba_runtime.Rt_treiber.Announced 8);
-      ("hazard", Aba_runtime.Rt_treiber.Reclaimed Aba_runtime.Rt_reclaim.Hazard);
-      ("epoch", Aba_runtime.Rt_treiber.Reclaimed Aba_runtime.Rt_reclaim.Epoch);
-      ( "guarded",
-        Aba_runtime.Rt_treiber.Reclaimed Aba_runtime.Rt_reclaim.Guarded );
-    ];
-  List.iter
-    (fun (name, protection) ->
-      case "msqueue" name
-        (fun obs ->
-          Aba_runtime.Rt_ms_queue.create ~obs ~protection ~capacity:1024
-            ~n:domains ())
-        (fun q pid ->
-          for i = 1 to ops do
-            ignore (Aba_runtime.Rt_ms_queue.enqueue q ~pid i);
-            ignore (Aba_runtime.Rt_ms_queue.dequeue q ~pid)
-          done))
-    [
-      ("tag16", Aba_runtime.Rt_ms_queue.Tag_bits 16);
-      ("announced8", Aba_runtime.Rt_ms_queue.Announced 8);
-      ( "hazard",
-        Aba_runtime.Rt_ms_queue.Reclaimed Aba_runtime.Rt_reclaim.Hazard );
-      ("epoch", Aba_runtime.Rt_ms_queue.Reclaimed Aba_runtime.Rt_reclaim.Epoch);
-      ( "guarded",
-        Aba_runtime.Rt_ms_queue.Reclaimed Aba_runtime.Rt_reclaim.Guarded );
-    ];
-  List.rev !rows
-
-(* ----- Part 9: recovery sweep (detectable stack crash-churn) -----
-
-   The cost of detectability under fire: the detectable Treiber stack
-   ({!Aba_core.Detectable}) churned with the harness's crash plan — every
-   [crash_every]-th round per domain is killed at a randomized shared
-   access and resolved by the stack's recovery protocol — across the
-   three head protections, with the exactly-once multiset audit as the
-   pass/fail and the new [crash]/[recover] Obs kinds in the same
-   per-kind percentile table as every other sweep.  A crash-free control
-   row set (crash_period 0) pins the baseline; CI asserts its crash and
-   recover counters are exactly zero. *)
-
-type recovery_row = {
-  rv_structure : string;
-  rv_protection : string;
-  rv_domains : int;
-  rv_ops : int;
-  rv_crash_every : int;  (** 0 = crash injection disabled (control) *)
-  rv_kind : string;
-  rv_count : int;
-  rv_retries : int;
-  rv_throughput : float;
-  rv_p50 : int;
-  rv_p90 : int;
-  rv_p99 : int;
-  rv_p999 : int;
-  rv_crashes : int;
-  rv_recoveries : int;
-  rv_audit_ok : bool;
-}
-
-let recovery_sweep ~domains ~ops ~crash_every () =
-  Printf.printf
-    "\nRecovery sweep (detectable stack, %d domains x %d rounds/domain, \
-     crash every %d, ns):\n"
-    domains ops crash_every;
-  Printf.printf "  %-11s %6s %-8s %9s %12s %8s %8s %8s %8s %7s %7s %6s\n"
-    "protection" "period" "kind" "count" "ops/s" "p50" "p90" "p99" "p999"
-    "crashes" "recover" "audit";
-  let rows = ref [] in
-  let case rv_protection protection rv_crash_every =
-    let m = Aba_primitives.Rt_mem.make ~n:domains () in
-    let module M = (val m : Aba_primitives.Mem_intf.S) in
-    let module D = Aba_core.Detectable.Make (M) in
-    let fuse = Aba_runtime.Harness.Fuse.create ~n:domains in
-    let st =
-      D.Stack.create ~protection ~tag_bits:8
-        ~on_step:(Aba_runtime.Harness.Fuse.on_step fuse)
-        ~name:"dstk" ~n:domains
-        ~capacity:(((domains + 2) * ops) + 8)
-        ()
-    in
-    let crashes =
-      if rv_crash_every = 0 then None
-      else
-        Some
-          {
-            Aba_runtime.Harness.fuse;
-            crash_every = rv_crash_every;
-            fuse_steps = Aba_runtime.Harness.default_fuse_steps;
-            recover =
-              (fun ~pid ->
-                match D.Stack.recover st ~pid with
-                | Aba_core.Detectable.R_none ->
-                    {
-                      Aba_runtime.Harness.completed = false;
-                      r_pushed = [];
-                      r_popped = [];
-                    }
-                | Aba_core.Detectable.R_pushed v ->
-                    {
-                      Aba_runtime.Harness.completed = true;
-                      r_pushed = [ v ];
-                      r_popped = [];
-                    }
-                | Aba_core.Detectable.R_popped (Some v) ->
-                    {
-                      Aba_runtime.Harness.completed = true;
-                      r_pushed = [];
-                      r_popped = [ v ];
-                    }
-                | Aba_core.Detectable.R_popped None ->
-                    {
-                      Aba_runtime.Harness.completed = true;
-                      r_pushed = [];
-                      r_popped = [];
-                    });
-          }
-    in
-    let obs = Obs.create ~trace:0 ~n:domains () in
-    let t0 = Aba_obs.Clock.now_ns () in
-    let report =
-      Aba_runtime.Harness.churn ~mix:Aba_runtime.Harness.Paired ~obs ?crashes
-        ~n:domains ~ops
-        ~push:(fun ~pid v ->
-          D.Stack.push st ~pid v;
-          true)
-        ~pop:(fun ~pid -> D.Stack.pop st ~pid)
-        ()
-    in
-    let dt = Aba_obs.Clock.elapsed_s t0 in
-    let rv_throughput = float_of_int (2 * domains * ops) /. dt in
-    let rv_audit_ok = Result.is_ok report.Aba_runtime.Harness.outcome in
-    (match report.Aba_runtime.Harness.outcome with
-    | Ok () -> ()
-    | Error e -> Printf.printf "  AUDIT FAILURE (%s): %s\n" rv_protection e);
-    List.iter
-      (fun kind ->
-        let count = Obs.op_count obs kind in
-        match Obs.histogram obs kind with
-        | Some h when count > 0 ->
-            let s = Aba_obs.Histogram.summarize h in
-            let row =
-              {
-                rv_structure = "dstack";
-                rv_protection;
-                rv_domains = domains;
-                rv_ops = ops;
-                rv_crash_every;
-                rv_kind = Obs.kind_name kind;
-                rv_count = count;
-                rv_retries = Obs.retry_count obs kind;
-                rv_throughput;
-                rv_p50 = s.Aba_obs.Histogram.p50;
-                rv_p90 = s.Aba_obs.Histogram.p90;
-                rv_p99 = s.Aba_obs.Histogram.p99;
-                rv_p999 = s.Aba_obs.Histogram.p999;
-                rv_crashes = report.Aba_runtime.Harness.crashed;
-                rv_recoveries = report.Aba_runtime.Harness.recovered;
-                rv_audit_ok;
-              }
-            in
-            Printf.printf
-              "  %-11s %6d %-8s %9d %12.0f %8d %8d %8d %8d %7d %7d %6s\n"
-              row.rv_protection row.rv_crash_every row.rv_kind row.rv_count
-              row.rv_throughput row.rv_p50 row.rv_p90 row.rv_p99 row.rv_p999
-              row.rv_crashes row.rv_recoveries
-              (if row.rv_audit_ok then "ok" else "FAIL");
-            rows := row :: !rows
-        | Some _ | None -> ())
-      Obs.all_kinds
-  in
-  List.iter
-    (fun (name, protection) ->
-      (* Crash-free control first, then the crash-churn run. *)
-      case name protection 0;
-      case name protection crash_every)
-    [
-      ("tag8", Aba_core.Detectable.Tag_bits);
-      ("llsc", Aba_core.Detectable.Llsc);
-      ("announced8", Aba_core.Detectable.Announced);
-    ];
-  List.rev !rows
-
-(* ----- Part 7: sharded service tier (open-loop SLO sweep) -----
-
-   The sweep itself lives in {!Aba_experiments.Service_bench} (shared
-   with the [aba_lab service] subcommand); this file contributes the
-   hot-path allocation group.  The claim mirrors [ring-hotpath]: with
+(* The service tier's hot-path claim mirrors [ring-hotpath]: with
    combining disabled the router adds {e zero} minor words per op over
    the bare structure — the key hash is an int mix, the depth estimate
    an owner-only strided-array bump, and a pop hands back the shard's
@@ -1197,71 +361,30 @@ let service_hotpath_tests =
 
 (* ----- Command line ----- *)
 
-type options = {
-  json : string option;
-  domains : int;  (** multicore treiber table + reclaim comparison *)
-  treiber_ops : int;
-  reclaim_ops : int;
-  max_domains : int;  (** sweep upper bound *)
-  sweep_ops : int;
-  smoke : bool;  (** sweep + JSON only: CI-sized smoke run *)
-  elimination : bool;  (** add the elimination/combining axis to the sweep *)
-  service : bool;  (** part 7: the sharded-service open-loop sweep *)
-  protections : bool;  (** part 8: the protection head-to-head sweep *)
-  recovery : bool;  (** part 9: the detectable-stack crash-churn sweep *)
-  crash_every : int;  (** crash period of the recovery sweep *)
-  slo_ns : int;
-  arrival_ns : int;
-}
-
-let default_options () =
-  {
-    json = None;
-    domains = 4;
-    treiber_ops = 50_000;
-    reclaim_ops = 20_000;
-    max_domains = Aba_runtime.Harness.available_parallelism ();
-    sweep_ops = 10_000;
-    smoke = false;
-    elimination = false;
-    service = false;
-    protections = false;
-    recovery = false;
-    crash_every = 7;
-    slo_ns = 10_000;
-    arrival_ns = 1_000;
-  }
-
 let usage_and_exit code =
   prerr_endline
-    "usage: bench [--json FILE] [--domains N] [--ops N] [--max-domains N]\n\
-    \             [--sweep-ops N] [--smoke] [--elimination] [--service]\n\
-    \             [--protections] [--recovery] [--crash-every N]\n\
-    \             [--slo-ns N] [--arrival-ns N]\n\n\
-    \  --json FILE     write machine-readable results to FILE\n\
-    \  --domains N     domain count for the treiber/reclaim tables \
-     (default 4)\n\
-    \  --ops N         per-domain ops for the treiber and reclaim tables\n\
-    \  --max-domains N scalability sweep upper bound (default: all cores)\n\
-    \  --sweep-ops N   per-domain ops per sweep cell (default 10000)\n\
-    \  --smoke         only the sweeps + percentiles (plus JSON): CI smoke\n\
-    \  --elimination   sweep the elimination/combining axis too (2x2x2)\n\
-    \  --service       part 7: the sharded service tier open-loop sweep\n\
-    \  --protections   part 8: protection head-to-head sweep (announced \
-     vs reclaimers)\n\
-    \  --recovery      part 9: detectable-stack crash-churn sweep \
-     (exactly-once audit)\n\
-    \  --crash-every N recovery sweep crash period in rounds (default 7)\n\
-    \  --slo-ns N      service SLO budget in ns (default 10000)\n\
-    \  --arrival-ns N  service mean inter-arrival in ns (default 1000)";
+    ("usage: bench [--part NAME]... [--smoke] [--json FILE] [--domains N]\n\
+     \             [--max-domains N] [--ops N] [--crash-every N] [--slo-ns N]\n\
+     \             [--arrival-ns N]\n\n\
+     \  --part NAME     run this part (repeatable); without it a plain run\n\
+     \                  is the full battery and --smoke runs the smoke parts\n\
+     \  --smoke         CI size: 2 domains, 500 ops, reduced grids\n\
+     \  --json FILE     write machine-readable results to FILE\n\
+     \  --domains N     domains of the fixed-width parts (default 4)\n\
+     \  --max-domains N scalability sweep upper bound (default: all cores)\n\
+     \  --ops N         per-domain operations (default 10000)\n\
+     \  --crash-every N recovery part crash period in rounds (default 7)\n\
+     \  --slo-ns N      service SLO budget in ns (default 10000)\n\
+     \  --arrival-ns N  service mean inter-arrival in ns (default 1000)\n\n\
+     parts: " ^ String.concat ", " (Part.names ()));
   exit code
 
 let parse_options () =
-  let o = ref (default_options ()) in
+  let smoke = Array.mem "--smoke" Sys.argv in
+  let cfg = ref (Part.config ~smoke ()) in
+  let json = ref None and parts = ref [] in
   let argc = Array.length Sys.argv in
-  let value i =
-    if i + 1 >= argc then usage_and_exit 2 else Sys.argv.(i + 1)
-  in
+  let value i = if i + 1 >= argc then usage_and_exit 2 else Sys.argv.(i + 1) in
   let int_value i =
     match int_of_string_opt (value i) with
     | Some n when n > 0 -> n
@@ -1270,204 +393,42 @@ let parse_options () =
         usage_and_exit 2
   in
   let rec go i =
+    let int f =
+      cfg := f (int_value i);
+      go (i + 2)
+    in
     if i < argc then
       match Sys.argv.(i) with
-      | "--json" -> o := { !o with json = Some (value i) }; go (i + 2)
-      | "--domains" -> o := { !o with domains = int_value i }; go (i + 2)
-      | "--ops" ->
-          let n = int_value i in
-          o := { !o with treiber_ops = n; reclaim_ops = n };
+      | "--smoke" -> go (i + 1)
+      | "--json" ->
+          json := Some (value i);
           go (i + 2)
-      | "--max-domains" -> o := { !o with max_domains = int_value i }; go (i + 2)
-      | "--sweep-ops" -> o := { !o with sweep_ops = int_value i }; go (i + 2)
-      | "--smoke" -> o := { !o with smoke = true }; go (i + 1)
-      | "--elimination" -> o := { !o with elimination = true }; go (i + 1)
-      | "--service" -> o := { !o with service = true }; go (i + 1)
-      | "--protections" -> o := { !o with protections = true }; go (i + 1)
-      | "--recovery" -> o := { !o with recovery = true }; go (i + 1)
-      | "--crash-every" -> o := { !o with crash_every = int_value i }; go (i + 2)
-      | "--slo-ns" -> o := { !o with slo_ns = int_value i }; go (i + 2)
-      | "--arrival-ns" -> o := { !o with arrival_ns = int_value i }; go (i + 2)
+      | "--part" -> (
+          match Part.find (value i) with
+          | Some p ->
+              parts := p :: !parts;
+              go (i + 2)
+          | None ->
+              Printf.eprintf "bench: unknown part %s\n" (value i);
+              usage_and_exit 2)
+      | "--domains" -> int (fun n -> { !cfg with domains = n })
+      | "--max-domains" -> int (fun n -> { !cfg with max_domains = n })
+      | "--ops" -> int (fun n -> { !cfg with ops = n })
+      | "--crash-every" -> int (fun n -> { !cfg with crash_every = n })
+      | "--slo-ns" -> int (fun n -> { !cfg with slo_ns = n })
+      | "--arrival-ns" -> int (fun n -> { !cfg with arrival_ns = n })
       | "--help" | "-h" -> usage_and_exit 0
       | arg ->
           Printf.eprintf "bench: unknown argument %s\n" arg;
           usage_and_exit 2
   in
   go 1;
-  !o
-
-(* ----- JSON emission ----- *)
-
-module Json = Aba_experiments.Json
-
-(* Provenance for archived result files: enough to re-run the benchmark on
-   the same code and know what produced the numbers. *)
-let git_commit () =
-  try
-    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-    let line = try String.trim (input_line ic) with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-  with _ -> "unknown"
-
-let meta_json () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Json.Obj
-    [
-      ("schema_version", Json.Int 8);
-      ("git_commit", Json.Str (git_commit ()));
-      ("ocaml_version", Json.Str Sys.ocaml_version);
-      ( "available_domains",
-        Json.Int (Aba_runtime.Harness.available_parallelism ()) );
-      ( "timestamp_utc",
-        Json.Str
-          (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ"
-             (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-             tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec) );
-    ]
-
-let treiber_row_json (name, domains, ops, throughput) =
-  Json.Obj
-    [
-      ("variant", Json.Str name);
-      ("domains", Json.Int domains);
-      ("ops", Json.Int ops);
-      ("ops_per_sec", Json.Float throughput);
-    ]
-
-let reclaim_row_json (r : Aba_experiments.Experiments.reclaim_row) =
-  Json.Obj
-    [
-      ("structure", Json.Str r.structure);
-      ("scheme", Json.Str r.scheme);
-      ("domains", Json.Int r.domains);
-      ("ops", Json.Int r.ops);
-      ("capacity", Json.Int r.capacity);
-      ("ops_per_sec", Json.Float r.throughput);
-      ("retired", Json.Int r.retired);
-      ("reclaimed", Json.Int r.reclaimed);
-      ("peak_in_limbo", Json.Int r.peak_in_limbo);
-      ("ok", Json.Bool r.ok);
-    ]
-
-let sweep_row_json r =
-  Json.Obj
-    [
-      ("bench", Json.Str r.sw_bench);
-      ("config", Json.Str r.sw_config);
-      ("padded", Json.Bool r.sw_padded);
-      ("backoff", Json.Bool r.sw_backoff);
-      ("elim", Json.Bool r.sw_elim);
-      ("domains", Json.Int r.sw_domains);
-      ("ops", Json.Int r.sw_ops);
-      ("ops_per_sec", Json.Float r.sw_throughput);
-      ("ns_per_op", Json.Float r.sw_ns_per_op);
-      ("exchanges", Json.Int r.sw_exchanges);
-      ("collisions", Json.Int r.sw_collisions);
-    ]
-
-let percentile_row_json r =
-  Json.Obj
-    [
-      ("bench", Json.Str r.lp_bench);
-      ("kind", Json.Str r.lp_kind);
-      ("domains", Json.Int r.lp_domains);
-      ("ops", Json.Int r.lp_ops);
-      ("count", Json.Int r.lp_count);
-      ("retries", Json.Int r.lp_retries);
-      ("p50_ns", Json.Int r.lp_p50);
-      ("p90_ns", Json.Int r.lp_p90);
-      ("p99_ns", Json.Int r.lp_p99);
-      ("p999_ns", Json.Int r.lp_p999);
-    ]
-
-let protection_row_json r =
-  Json.Obj
-    [
-      ("structure", Json.Str r.pv_structure);
-      ("protection", Json.Str r.pv_protection);
-      ("domains", Json.Int r.pv_domains);
-      ("ops", Json.Int r.pv_ops);
-      ("kind", Json.Str r.pv_kind);
-      ("count", Json.Int r.pv_count);
-      ("retries", Json.Int r.pv_retries);
-      ("ops_per_sec", Json.Float r.pv_throughput);
-      ("p50_ns", Json.Int r.pv_p50);
-      ("p90_ns", Json.Int r.pv_p90);
-      ("p99_ns", Json.Int r.pv_p99);
-      ("p999_ns", Json.Int r.pv_p999);
-    ]
-
-let recovery_row_json r =
-  Json.Obj
-    [
-      ("structure", Json.Str r.rv_structure);
-      ("protection", Json.Str r.rv_protection);
-      ("domains", Json.Int r.rv_domains);
-      ("ops", Json.Int r.rv_ops);
-      ("crash_period", Json.Int r.rv_crash_every);
-      ("kind", Json.Str r.rv_kind);
-      ("count", Json.Int r.rv_count);
-      ("retries", Json.Int r.rv_retries);
-      ("ops_per_sec", Json.Float r.rv_throughput);
-      ("p50_ns", Json.Int r.rv_p50);
-      ("p90_ns", Json.Int r.rv_p90);
-      ("p99_ns", Json.Int r.rv_p99);
-      ("p999_ns", Json.Int r.rv_p999);
-      ("crashes", Json.Int r.rv_crashes);
-      ("recoveries", Json.Int r.rv_recoveries);
-      ("audit_ok", Json.Bool r.rv_audit_ok);
-    ]
-
-let capacity_row_json r =
-  Json.Obj
-    [
-      ("impl", Json.Str r.cs_impl);
-      ("producers", Json.Int r.cs_producers);
-      ("consumers", Json.Int r.cs_consumers);
-      ("capacity", Json.Int r.cs_capacity);
-      ("kind", Json.Str r.cs_kind);
-      ("count", Json.Int r.cs_count);
-      ("retries", Json.Int r.cs_retries);
-      ("ops", Json.Int r.cs_ops);
-      ("items_per_sec", Json.Float r.cs_throughput);
-      ("p50_ns", Json.Int r.cs_p50);
-      ("p90_ns", Json.Int r.cs_p90);
-      ("p99_ns", Json.Int r.cs_p99);
-      ("p999_ns", Json.Int r.cs_p999);
-    ]
-
-let write_json path ~treiber_rows ~reclaim_rows ~sweep_rows ~percentile_rows
-    ~capacity_rows ~service_rows ~protection_rows ~recovery_rows =
-  let doc =
-    Json.Obj
-      [
-        ("meta", meta_json ());
-        ("multicore_treiber", Json.Arr (List.map treiber_row_json treiber_rows));
-        ("reclamation", Json.Arr (List.map reclaim_row_json reclaim_rows));
-        ("scalability_sweep", Json.Arr (List.map sweep_row_json sweep_rows));
-        ( "latency_percentiles",
-          Json.Arr (List.map percentile_row_json percentile_rows) );
-        ("capacity_sweep", Json.Arr (List.map capacity_row_json capacity_rows));
-        ( "service_sweep",
-          Json.Arr
-            (List.map Aba_experiments.Service_bench.row_to_json service_rows) );
-        ( "protection_sweep",
-          Json.Arr (List.map protection_row_json protection_rows) );
-        ( "recovery_sweep",
-          Json.Arr (List.map recovery_row_json recovery_rows) );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  close_out oc;
-  Printf.printf "\nWrote JSON results to %s\n" path
+  (!json, !parts, !cfg)
 
 let () =
-  let o = parse_options () in
-  if not o.smoke then begin
-    (* Part 1: the paper-derived experiment tables (exact, step-model). *)
+  let json, selected, cfg = parse_options () in
+  let full = selected = [] && not cfg.Part.smoke in
+  if full then begin
     Aba_experiments.Experiments.run_space [ 3; 4; 6; 8 ];
     Aba_experiments.Experiments.run_covering [ 3; 4 ];
     Aba_experiments.Experiments.run_wraparound ();
@@ -1475,101 +436,40 @@ let () =
     Aba_experiments.Experiments.run_steps [ 3; 4; 6; 8; 12; 16 ];
     Aba_experiments.Experiments.run_explore ();
     Aba_experiments.Experiments.run_ablation ();
-    Aba_experiments.Experiments.run_stack ~domains:o.domains ~ops:5_000 ();
+    Aba_experiments.Experiments.run_stack ~domains:cfg.Part.domains ~ops:5_000
+      ();
     ablation_fig3 ();
-    (* Part 2: wall-clock benchmarks of the runtime ports. *)
     print_endline "\n=== Wall-clock micro-benchmarks (Bechamel) ===";
     benchmark_report "thm3-figure4-runtime" thm3_fig4_tests;
     benchmark_report "thm2-figure3-runtime" thm2_fig3_tests;
     benchmark_report "moir-unbounded-runtime" moir_tests;
     benchmark_report "aba-registers-runtime" aba_register_tests;
-    benchmark_report ~alloc:true "unified-vs-handwritten"
-      unified_vs_handwritten_tests;
+    benchmark_report ~alloc:true "unified-hotpath" alloc_tests;
     benchmark_report "treiber-runtime" treiber_tests;
     benchmark_report ~alloc:true "elimination-hotpath"
       elimination_hotpath_tests;
     benchmark_report "msqueue-runtime" msqueue_tests;
-    benchmark_report ~alloc:true "ring-hotpath" ring_hotpath_tests
+    benchmark_report ~alloc:true "ring-hotpath" ring_hotpath_tests;
+    benchmark_report ~alloc:true "service-hotpath" service_hotpath_tests;
+    benchmark_report ~alloc:true "announced-hotpath" announced_hotpath_tests
   end;
-  let treiber_rows =
-    if o.smoke then []
-    else multicore_treiber ~domains:o.domains ~ops:o.treiber_ops ()
+  let parts =
+    List.filter
+      (fun p ->
+        if selected = [] then full || p.Part.smoke else List.memq p selected)
+      Part.all
   in
-  (* Part 3: reclamation-scheme comparison (throughput + peak space). *)
-  let reclaim_rows =
-    if o.smoke then []
-    else
-      Aba_experiments.Experiments.run_reclaim ~domains:o.domains
-        ~ops:o.reclaim_ops ()
-  in
-  (* Part 4: the contention-management scalability sweep. *)
-  let sweep_rows =
-    scalability_sweep ~max_domains:o.max_domains ~ops:o.sweep_ops
-      ~elimination:o.elimination ()
-  in
-  (* Part 5: tail-latency percentiles (runs in --smoke too: with the
-     capacity sweep below it is the schema-5 surface CI validates). *)
-  let percentile_rows =
-    latency_percentiles ~domains:(min o.domains o.max_domains)
-      ~ops:o.sweep_ops ()
-  in
-  (* Part 6: the bounded-queue capacity sweep (also part of the smoke
-     surface, on a reduced grid). *)
-  let grid, capacities =
-    if o.smoke then ([ (1, 1); (2, 1); (1, 2) ], [ 2; 64 ])
-    else ([ (1, 1); (2, 1); (1, 2); (2, 2) ], [ 2; 64; 1024 ])
-  in
-  let capacity_rows = capacity_sweep ~grid ~capacities ~ops:o.sweep_ops () in
-  (* Part 7: the sharded service tier, opt-in via --service.  Smoke keeps
-     one structure and the two shard counts the CI assertions compare
-     (the 1-shard baseline and the 4-shard sharded cells). *)
-  let service_rows =
-    if not o.service then []
-    else begin
-      if not o.smoke then
-        benchmark_report ~alloc:true "service-hotpath" service_hotpath_tests;
-      let dedup l = List.sort_uniq compare l in
-      let structures = if o.smoke then [ "stack" ] else [ "stack"; "queue" ] in
-      let shards = if o.smoke then [ 1; 4 ] else [ 1; 2; 4 ] in
-      let domains =
-        dedup [ 1; min 2 o.max_domains; min 4 o.max_domains; o.max_domains ]
-      in
-      Aba_experiments.Service_bench.sweep ~slo_ns:o.slo_ns
-        ~arrival_ns:o.arrival_ns ~structures ~shards ~domains ~ops:o.sweep_ops
-        ()
-    end
-  in
-  (* Part 8: the protection head-to-head, opt-in via --protections.  The
-     announced-hotpath allocation group carries the 0-words/op claim; the
-     sweep carries throughput and tail latency against the reclaimers. *)
-  let protection_rows =
-    if not o.protections then []
-    else begin
-      if not o.smoke then
-        benchmark_report ~alloc:true "announced-hotpath"
-          announced_hotpath_tests;
-      protection_sweep
-        ~domains:(min o.domains o.max_domains)
-        ~ops:o.sweep_ops ()
-    end
-  in
-  (* Part 9: the detectable-stack crash-churn sweep, opt-in via
-     --recovery.  Every row carries the exactly-once audit verdict; a
-     failed audit fails the whole bench run. *)
-  let recovery_rows =
-    if not o.recovery then []
-    else
-      recovery_sweep
-        ~domains:(min o.domains o.max_domains)
-        ~ops:(min o.sweep_ops 5_000)
-        ~crash_every:o.crash_every ()
-  in
-  if List.exists (fun r -> not r.rv_audit_ok) recovery_rows then begin
-    prerr_endline "bench: recovery sweep exactly-once audit FAILED";
-    exit 1
-  end;
-  (match o.json with
-  | None -> ()
-  | Some path ->
-      write_json path ~treiber_rows ~reclaim_rows ~sweep_rows ~percentile_rows
-        ~capacity_rows ~service_rows ~protection_rows ~recovery_rows)
+  let results = List.map (fun p -> (p, Part.run p cfg)) parts in
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc
+        (Aba_experiments.Json.to_string (Part.document results));
+      close_out oc;
+      Printf.printf "\nWrote JSON results to %s\n" path)
+    json;
+  match List.concat_map (fun (p, rows) -> Part.violations p rows) results with
+  | [] -> ()
+  | violations ->
+      List.iter (Printf.eprintf "bench: invariant violated: %s\n") violations;
+      exit 1

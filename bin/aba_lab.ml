@@ -1,13 +1,12 @@
 (** aba-lab — experiment driver.
 
     Each subcommand regenerates one of the paper-derived experiment tables
-    listed in DESIGN.md (E1..E8); [all] runs the full battery that
-    EXPERIMENTS.md records. *)
+    listed in DESIGN.md, or runs one bench part ({!Aba_experiments.Part});
+    [all] runs the full battery that EXPERIMENTS.md records. *)
 
 open Aba_experiments.Experiments
-(* ----- command line ----- *)
-
 open Cmdliner
+module Part = Aba_experiments.Part
 
 let ns_arg =
   let doc = "Process counts to sweep (comma separated)." in
@@ -50,23 +49,26 @@ let stack_cmd =
   Cmd.v (Cmd.info "stack" ~doc:"Treiber stack reuse corruption (E7).")
     Term.(const (fun domains ops -> run_stack ~domains ~ops ()) $ domains $ ops)
 
-let reclaim_cmd =
-  let domains =
-    Arg.(value & opt int 4 & info [ "domains" ] ~doc:"concurrent domains")
+(* Every bench part is a subcommand running the same code as
+   [bench --part NAME]; a broken invariant exits 1. *)
+let run_part ~smoke p =
+  let rows = Part.run p (Part.config ~smoke ()) in
+  match Part.violations p rows with
+  | [] -> ()
+  | vs ->
+      List.iter (Printf.eprintf "invariant violated: %s\n") vs;
+      exit 1
+
+let part_cmds =
+  let smoke =
+    Arg.(value & flag & info [ "smoke" ] ~doc:"CI size (2 domains, 500 ops).")
   in
-  let ops =
-    Arg.(value & opt int 20_000 & info [ "ops" ] ~doc:"operations per domain")
-  in
-  let capacity =
-    Arg.(value & opt int 32 & info [ "capacity" ] ~doc:"node pool size")
-  in
-  Cmd.v
-    (Cmd.info "reclaim"
-       ~doc:"Reclamation schemes: throughput vs peak limbo space (E10).")
-    Term.(
-      const (fun domains ops capacity ->
-          ignore (run_reclaim ~capacity ~domains ~ops ()))
-      $ domains $ ops $ capacity)
+  List.map
+    (fun p ->
+      Cmd.v
+        (Cmd.info p.Part.name ~doc:(p.Part.doc ^ "."))
+        Term.(const (fun smoke -> run_part ~smoke p) $ smoke))
+    Part.all
 
 (* E16: the DPOR model-checking suite.  Each scenario certifies one
    concurrent structure at a small configuration over a representative
@@ -140,8 +142,15 @@ let explore_cmd =
             (if r.S.passed then "ok" else "FAIL"))
         reports
     end;
-    if not (List.for_all (fun (r : S.report) -> r.S.passed) reports) then
+    let violations =
+      match scenario with
+      | Some _ -> List.concat_map S.report_violations reports
+      | None -> S.suite_violations reports
+    in
+    if violations <> [] then begin
+      List.iter (Printf.eprintf "invariant violated: %s\n") violations;
       exit 1
+    end
   in
   Cmd.v
     (Cmd.info "explore"
@@ -217,24 +226,8 @@ let obs_cmd =
       (match report.Aba_runtime.Harness.outcome with
       | Ok () -> "ok"
       | Error e -> "CORRUPT: " ^ e);
-    Printf.printf "\n%-10s %9s %9s %8s %8s %8s %8s  (ns)\n" "kind" "ops"
-      "retries" "p50" "p90" "p99" "p999";
-    List.iter
-      (fun kind ->
-        let count = Obs.op_count obs kind in
-        if count > 0 then
-          match Obs.histogram obs kind with
-          | Some h ->
-              let s = Aba_obs.Histogram.summarize h in
-              Printf.printf "%-10s %9d %9d %8d %8d %8d %8d\n"
-                (Obs.kind_name kind) count
-                (Obs.retry_count obs kind)
-                s.Aba_obs.Histogram.p50 s.Aba_obs.Histogram.p90
-                s.Aba_obs.Histogram.p99 s.Aba_obs.Histogram.p999
-          | None ->
-              Printf.printf "%-10s %9d %9d\n" (Obs.kind_name kind) count
-                (Obs.retry_count obs kind))
-      Obs.all_kinds;
+    print_newline ();
+    Aba_experiments.Row.(print_table (of_obs obs []));
     Printf.printf
       "\ntrace: %d events recorded, %d retained; first %d of the merged \
        timeline:\n"
@@ -254,336 +247,6 @@ let obs_cmd =
           histogram + trace.")
     Term.(const run $ domains $ ops $ events $ protection)
 
-(* E15: the ingress tier exercised end to end — a capacity-limited
-   bounded churn over the instrumented lock-free ring (with the multiset
-   audit), then a saturated producer/consumer run through the blocking
-   wrapper so the backpressure wait kinds show up in the same per-kind
-   summary.  [--seq-bits] exposes the bounded-tag axis: tiny widths make
-   the slot sequence words wrap constantly (the audit still passes —
-   that is the wraparound safety condition of DESIGN E15). *)
-let queue_cmd =
-  let domains =
-    Arg.(value & opt int 4 & info [ "domains" ] ~doc:"concurrent domains")
-  in
-  let ops =
-    Arg.(value & opt int 10_000 & info [ "ops" ] ~doc:"operations per domain")
-  in
-  let capacity =
-    Arg.(value & opt int 64 & info [ "capacity" ] ~doc:"ring capacity")
-  in
-  let seq_bits =
-    Arg.(
-      value & opt int 61
-      & info [ "seq-bits" ] ~doc:"slot sequence tag width (2..61)")
-  in
-  let run domains ops capacity seq_bits =
-    let module Obs = Aba_obs.Obs in
-    let print_kinds obs =
-      Printf.printf "\n%-10s %9s %9s %8s %8s %8s %8s  (ns)\n" "kind" "ops"
-        "retries" "p50" "p90" "p99" "p999";
-      List.iter
-        (fun kind ->
-          let count = Obs.op_count obs kind in
-          if count > 0 then
-            match Obs.histogram obs kind with
-            | Some h ->
-                let s = Aba_obs.Histogram.summarize h in
-                Printf.printf "%-10s %9d %9d %8d %8d %8d %8d\n"
-                  (Obs.kind_name kind) count
-                  (Obs.retry_count obs kind)
-                  s.Aba_obs.Histogram.p50 s.Aba_obs.Histogram.p90
-                  s.Aba_obs.Histogram.p99 s.Aba_obs.Histogram.p999
-            | None ->
-                Printf.printf "%-10s %9d %9d\n" (Obs.kind_name kind) count
-                  (Obs.retry_count obs kind))
-        Obs.all_kinds
-    in
-    let obs = Obs.create ~trace:0 ~n:domains () in
-    let q =
-      Aba_queue.Rt_ring.create ~obs ~seq_bits ~capacity ~n:domains ()
-    in
-    let report =
-      Aba_runtime.Harness.churn ~mix:Aba_runtime.Harness.Bounded ~n:domains
-        ~ops
-        ~push:(fun ~pid v -> Aba_queue.Rt_ring.try_enqueue q ~pid v)
-        ~pop:(fun ~pid -> Aba_queue.Rt_ring.try_dequeue q ~pid)
-        ()
-    in
-    Printf.printf
-      "bounded churn (ring-lf, capacity=%d, seq_bits=%d): attempted=%d \
-       pushed=%d popped=%d remaining=%d multiset=%s\n"
-      capacity seq_bits report.Aba_runtime.Harness.attempted
-      report.Aba_runtime.Harness.pushed report.Aba_runtime.Harness.popped
-      report.Aba_runtime.Harness.remaining
-      (match report.Aba_runtime.Harness.outcome with
-      | Ok () -> "ok"
-      | Error e -> "CORRUPT: " ^ e);
-    print_kinds obs;
-    (* Backpressure: one producer, one consumer, a deliberately tiny
-       window — the blocking wrapper's wait phases (Wait_full on the
-       producer, Wait_empty on the consumer) dominate the summary. *)
-    let wait_cap = min capacity 4 in
-    let obs2 = Obs.create ~trace:0 ~n:2 () in
-    let b =
-      Aba_queue.Blocking.create ~obs:obs2 ~seq_bits ~capacity:wait_cap ~n:2 ()
-    in
-    let _ =
-      Aba_runtime.Harness.run_domains ~n:2 (fun pid ->
-          if pid = 0 then
-            for i = 1 to ops do
-              while not (Aba_queue.Blocking.enqueue b ~pid i) do () done
-            done
-          else
-            let popped = ref 0 in
-            while !popped < ops do
-              match Aba_queue.Blocking.dequeue b ~pid with
-              | Some _ -> incr popped
-              | None -> ()
-            done)
-    in
-    Printf.printf
-      "\nblocking producer/consumer (capacity=%d, %d items): drained, \
-       length=%d\n"
-      wait_cap ops (Aba_queue.Blocking.length b);
-    print_kinds obs2
-  in
-  Cmd.v
-    (Cmd.info "queue"
-       ~doc:
-         "Ingress tier demo (E15): bounded churn over the lock-free ring, \
-          then backpressure waits through the blocking wrapper.")
-    Term.(const run $ domains $ ops $ capacity $ seq_bits)
-
-(* E17: the sharded service tier under an open-loop Poisson workload —
-   the same sweep bench part 7 runs, exposed interactively so a single
-   configuration (or a custom grid) can be replayed with its SLO knobs.
-   [--json] dumps the rows in the bench schema-6 [service_sweep] shape. *)
-let service_cmd =
-  let structures =
-    Arg.(
-      value
-      & opt (list string) [ "stack" ]
-      & info [ "structures" ] ~doc:"Structures to sweep (stack, queue).")
-  in
-  let shards =
-    Arg.(
-      value & opt (list int) [ 1; 4 ]
-      & info [ "shards" ] ~doc:"Shard counts to sweep (comma separated).")
-  in
-  let domains =
-    Arg.(
-      value & opt (list int) [ 1; 4 ]
-      & info [ "domains" ] ~doc:"Domain counts to sweep (comma separated).")
-  in
-  let ops =
-    Arg.(value & opt int 10_000 & info [ "ops" ] ~doc:"operations per domain")
-  in
-  let slo_ns =
-    Arg.(value & opt int 10_000 & info [ "slo-ns" ] ~doc:"SLO budget in ns")
-  in
-  let arrival_ns =
-    Arg.(
-      value & opt int 1_000
-      & info [ "arrival-ns" ] ~doc:"mean inter-arrival per domain in ns")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the rows as JSON.")
-  in
-  let run structures shards domains ops slo_ns arrival_ns json =
-    let module Sb = Aba_experiments.Service_bench in
-    List.iter
-      (fun s ->
-        if s <> "stack" && s <> "queue" then begin
-          Printf.eprintf "unknown structure %S (want stack or queue)\n" s;
-          exit 2
-        end)
-      structures;
-    let rows =
-      Sb.sweep ~quiet:json ~slo_ns ~arrival_ns ~structures ~shards ~domains
-        ~ops ()
-    in
-    if json then
-      print_string
-        (Aba_experiments.Json.to_string
-           (Aba_experiments.Json.Arr (List.map Sb.row_to_json rows)))
-  in
-  Cmd.v
-    (Cmd.info "service"
-       ~doc:
-         "Sharded service tier sweep (E17): open-loop Poisson workload with \
-          SLO attainment, work stealing and flat combining.")
-    Term.(
-      const run $ structures $ shards $ domains $ ops $ slo_ns $ arrival_ns
-      $ json)
-
-(* E19: crash recovery end to end — the detectable counter and stack
-   churned on real domains while the harness fuse kills operations at
-   randomized shared accesses, each audited for exactly-once effect,
-   then the DPOR crash-move certification of the same protocols (the
-   detectable/naive scenario pair plus the stack). *)
-let recover_cmd =
-  (* Crash-churn over-subscribed on too few cores degrades badly: every
-     injected crash parks stale shared state that other domains
-     spin-help against until the crashed domain is rescheduled, so the
-     default domain count follows the machine (floor 2 to keep real
-     cross-domain helping in play). *)
-  let auto_domains =
-    max 2 (min 4 (Aba_runtime.Harness.available_parallelism ()))
-  in
-  let domains =
-    Arg.(
-      value & opt int auto_domains
-      & info [ "domains" ] ~doc:"concurrent domains")
-  in
-  let ops =
-    Arg.(value & opt int 2_000 & info [ "ops" ] ~doc:"rounds per domain")
-  in
-  let crash_every =
-    Arg.(
-      value & opt int 7
-      & info [ "crash-every" ] ~doc:"crash period in rounds per domain")
-  in
-  let run domains ops crash_every =
-    let module H = Aba_runtime.Harness in
-    let module Obs = Aba_obs.Obs in
-    if crash_every < 1 then begin
-      prerr_endline "recover: --crash-every must be positive";
-      exit 2
-    end;
-    let failed = ref false in
-    (* Counter: every increment must count exactly once through crashes. *)
-    let () =
-      let m = Aba_primitives.Rt_mem.make ~n:domains () in
-      let module M = (val m : Aba_primitives.Mem_intf.S) in
-      let module D = Aba_core.Detectable.Make (M) in
-      let fuse = H.Fuse.create ~n:domains in
-      let c =
-        D.Counter.create ~on_step:(H.Fuse.on_step fuse) ~name:"ctr"
-          ~n:domains ()
-      in
-      let results =
-        H.run_domains ~n:domains (fun d ->
-            let eff = ref 0 and crashes = ref 0 in
-            for i = 1 to ops do
-              if i mod crash_every = 0 then begin
-                H.Fuse.arm fuse ~pid:d
-                  ~steps:(H.default_fuse_steps ~pid:d ~round:i);
-                try
-                  ignore (D.Counter.inc c ~pid:d : int);
-                  H.Fuse.disarm fuse ~pid:d;
-                  incr eff
-                with H.Injected_crash -> (
-                  incr crashes;
-                  match D.Counter.recover c ~pid:d with
-                  | Some _ -> incr eff
-                  | None -> ())
-              end
-              else begin
-                ignore (D.Counter.inc c ~pid:d : int);
-                incr eff
-              end
-            done;
-            (!eff, !crashes))
-      in
-      let eff = Array.fold_left (fun a (e, _) -> a + e) 0 results in
-      let crashes = Array.fold_left (fun a (_, c) -> a + c) 0 results in
-      let final = D.Counter.read c in
-      let ok = final = eff in
-      if not ok then failed := true;
-      Printf.printf
-        "detectable counter: domains=%d ops/domain=%d crashes=%d \
-         effective=%d final=%d exactly-once=%s\n"
-        domains ops crashes eff final
-        (if ok then "ok" else "FAIL")
-    in
-    (* Stack: crash-churn under each head protection, exactly-once
-       multiset audit, crash/recover events on the Obs handle. *)
-    List.iter
-      (fun (pname, protection) ->
-        let m = Aba_primitives.Rt_mem.make ~n:domains () in
-        let module M = (val m : Aba_primitives.Mem_intf.S) in
-        let module D = Aba_core.Detectable.Make (M) in
-        let fuse = H.Fuse.create ~n:domains in
-        let st =
-          D.Stack.create ~protection ~tag_bits:8
-            ~on_step:(H.Fuse.on_step fuse) ~name:"dstk" ~n:domains
-            ~capacity:(((domains + 2) * ops) + 8)
-            ()
-        in
-        let plan =
-          {
-            H.fuse;
-            crash_every;
-            fuse_steps = H.default_fuse_steps;
-            recover =
-              (fun ~pid ->
-                match D.Stack.recover st ~pid with
-                | Aba_core.Detectable.R_none ->
-                    { H.completed = false; r_pushed = []; r_popped = [] }
-                | Aba_core.Detectable.R_pushed v ->
-                    { H.completed = true; r_pushed = [ v ]; r_popped = [] }
-                | Aba_core.Detectable.R_popped (Some v) ->
-                    { H.completed = true; r_pushed = []; r_popped = [ v ] }
-                | Aba_core.Detectable.R_popped None ->
-                    { H.completed = true; r_pushed = []; r_popped = [] });
-          }
-        in
-        let obs = Obs.create ~trace:0 ~n:domains () in
-        let report =
-          H.churn ~mix:H.Paired ~obs ~crashes:plan ~n:domains ~ops
-            ~push:(fun ~pid v ->
-              D.Stack.push st ~pid v;
-              true)
-            ~pop:(fun ~pid -> D.Stack.pop st ~pid)
-            ()
-        in
-        if Result.is_error report.H.outcome then failed := true;
-        Printf.printf
-          "detectable stack (%-10s): pushed=%d popped=%d remaining=%d \
-           crashed=%d recovered=%d obs(crash=%d recover=%d) exactly-once=%s\n"
-          pname report.H.pushed report.H.popped report.H.remaining
-          report.H.crashed report.H.recovered
-          (Obs.op_count obs Obs.Crash)
-          (Obs.op_count obs Obs.Recover)
-          (match report.H.outcome with
-          | Ok () -> "ok"
-          | Error e -> "FAIL: " ^ e))
-      [
-        ("tag8", Aba_core.Detectable.Tag_bits);
-        ("llsc", Aba_core.Detectable.Llsc);
-        ("announced8", Aba_core.Detectable.Announced);
-      ];
-    (* The simulator side of the same story: DPOR over crash moves. *)
-    let module S = Aba_experiments.Scenarios in
-    print_newline ();
-    List.iter
-      (fun id ->
-        match S.find id with
-        | None ->
-            Printf.eprintf "missing crash scenario %S\n" id;
-            failed := true
-        | Some s ->
-            let r = s.S.run () in
-            if not r.S.passed then failed := true;
-            Printf.printf
-              "dpor %-25s verdict=%-9s explored=%d crashes_injected=%d %s\n"
-              r.S.name r.S.verdict r.S.stats.Aba_sim.Explore.explored
-              r.S.stats.Aba_sim.Explore.crashes_injected
-              (if r.S.passed then "ok" else "FAIL"))
-      [
-        "detectable-counter-crash"; "naive-counter-crash";
-        "detectable-stack-crash";
-      ];
-    if !failed then exit 1
-  in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:
-         "Crash recovery demo (E19): detectable counter/stack crash-churn \
-          with exactly-once audits, then the DPOR crash-move \
-          certification.")
-    Term.(const run $ domains $ ops $ crash_every)
-
 let all_cmd =
   let run () =
     run_space [ 3; 4; 6; 8 ];
@@ -594,7 +257,7 @@ let all_cmd =
     run_explore ();
     run_ablation ();
     run_stack ~domains:4 ~ops:20_000 ();
-    ignore (run_reclaim ~domains:4 ~ops:20_000 ())
+    Option.iter (run_part ~smoke:false) (Part.find "reclaim")
   in
   cmd_of "all" "Run the full experiment battery." run
 
@@ -602,10 +265,10 @@ let main =
   Cmd.group
     (Cmd.info "aba-lab" ~version:"1.0"
        ~doc:"Experiments for the PODC 2015 ABA prevention/detection paper.")
-    [
-      space_cmd; covering_cmd; wraparound_cmd; tradeoff_cmd; steps_cmd;
-      explore_cmd; ablate_cmd; stack_cmd; reclaim_cmd; obs_cmd; queue_cmd;
-      service_cmd; recover_cmd; all_cmd;
-    ]
+    ([
+       space_cmd; covering_cmd; wraparound_cmd; tradeoff_cmd; steps_cmd;
+       explore_cmd; ablate_cmd; stack_cmd; obs_cmd; all_cmd;
+     ]
+    @ part_cmds)
 
 let () = exit (Cmd.eval main)

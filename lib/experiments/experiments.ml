@@ -320,19 +320,6 @@ let run_stack ~domains ~ops () =
 
 (* ----- E11: safe memory reclamation under churn ----- *)
 
-type reclaim_row = {
-  structure : string;
-  scheme : string;
-  domains : int;
-  ops : int;
-  capacity : int;
-  throughput : float;  (** completed push+pop per second *)
-  retired : int;
-  reclaimed : int;
-  peak_in_limbo : int;
-  ok : bool;
-}
-
 (* The churn workload runs every structure at its capacity ceiling, so
    each scheme's grace period is what bounds how many nodes sit retired
    but unreusable: the paper's time-space tradeoff, measured as
@@ -351,22 +338,24 @@ let reclaim_rows ~domains ~ops ~capacity () =
         in
         let dt = Aba_obs.Clock.elapsed_s t0 in
         let stats : Aba_runtime.Rt_reclaim.stats = churn_of t in
-        {
-          structure;
-          scheme = Aba_runtime.Rt_reclaim.scheme_name scheme;
-          domains;
-          ops;
-          capacity;
-          throughput =
-            float_of_int
-              (report.Aba_runtime.Harness.pushed
-             + report.Aba_runtime.Harness.popped)
-            /. dt;
-          retired = stats.Aba_runtime.Rt_reclaim.retired;
-          reclaimed = stats.Aba_runtime.Rt_reclaim.reclaimed;
-          peak_in_limbo = stats.Aba_runtime.Rt_reclaim.peak_in_limbo;
-          ok = Result.is_ok report.Aba_runtime.Harness.outcome;
-        })
+        Row.
+          [
+            ("structure", Str structure);
+            ("scheme", Str (Aba_runtime.Rt_reclaim.scheme_name scheme));
+            ("domains", Int domains);
+            ("ops", Int ops);
+            ("capacity", Int capacity);
+            ( "ops_per_sec",
+              Float
+                (float_of_int
+                   (report.Aba_runtime.Harness.pushed
+                  + report.Aba_runtime.Harness.popped)
+                /. dt) );
+            ("retired", Int stats.Aba_runtime.Rt_reclaim.retired);
+            ("reclaimed", Int stats.Aba_runtime.Rt_reclaim.reclaimed);
+            ("peak_in_limbo", Int stats.Aba_runtime.Rt_reclaim.peak_in_limbo);
+            ("ok", Bool (Result.is_ok report.Aba_runtime.Harness.outcome));
+          ])
       schemes
   in
   let release_and_flush rc ~pid =
@@ -406,28 +395,6 @@ let reclaim_rows ~domains ~ops ~capacity () =
         (q, fun q -> Option.get (Aba_runtime.Rt_ms_queue.reclaim_stats q)))
   in
   treiber_rows @ msqueue_rows
-
-let run_reclaim ?(capacity = 32) ~domains ~ops () =
-  section "E11 - Safe memory reclamation: time vs space under churn";
-  Printf.printf
-    "domains=%d ops/domain=%d capacity=%d (structures run at their\n\
-     capacity ceiling, so every operation recycles nodes)\n"
-    domains ops capacity;
-  Printf.printf "%-10s %-8s %12s %9s %10s %11s %7s\n" "structure" "scheme"
-    "ops/s" "retired" "reclaimed" "peak-limbo" "audit";
-  let rows = reclaim_rows ~domains ~ops ~capacity () in
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %-8s %12.0f %9d %10d %11d %7s\n" r.structure
-        r.scheme r.throughput r.retired r.reclaimed r.peak_in_limbo
-        (if r.ok then "OK" else "CORRUPT"))
-    rows;
-  print_endline
-    "Paper: hazard = plain-word baseline; epoch = cheap pins, space held\n\
-     hostage by stragglers; guarded = protection through figure-4\n\
-     registers and a figure-3 LL/SC free stack (Theorems 2+3) - bounded\n\
-     base objects bought with extra steps per protection.";
-  rows
 
 (* ----- E9: exhaustive exploration summary ----- *)
 

@@ -900,3 +900,84 @@ let suite_to_json reports =
       ("all_passed", Json.Bool (List.for_all (fun r -> r.passed) reports));
       ("scenarios", Json.Arr (List.map report_to_json reports));
     ]
+
+(* ----- Invariants ----- *)
+
+let keys_of = function Json.Obj kv -> List.map fst kv | _ -> []
+
+let missing what expected j =
+  List.filter_map
+    (fun k ->
+      if List.mem k (keys_of j) then None
+      else Some (Printf.sprintf "%s missing %s" what k))
+    expected
+
+let report_violations r =
+  let st = r.stats in
+  let fail cond msg = if cond then [ r.name ^ ": " ^ msg ] else [] in
+  missing r.name
+    [
+      "name"; "description"; "n"; "expect_violation"; "verdict"; "passed";
+      "schedules"; "violation_schedule"; "stats";
+    ]
+    (report_to_json r)
+  @ missing (r.name ^ " stats")
+      [
+        "explored"; "schedule_bound"; "reduction_factor"; "sleep_set_prunes";
+        "preemption_prunes"; "races_detected"; "crashes_injected";
+        "max_depth_reached"; "rebuilds"; "actions_executed";
+        "actions_replayed";
+      ]
+      (stats_to_json st)
+  @ fail (not r.passed) ("verdict " ^ r.verdict ^ " does not match")
+  @ fail (st.Explore.explored <= 0) "nothing explored"
+  @
+  match st.Explore.schedule_bound with
+  | Some b -> fail (st.Explore.explored > b) "explored exceeds bound"
+  | None -> []
+
+(* The named expectations: the DPOR reduction bites on Figure 4, each
+   seeded mutant is caught with a schedule, the guarded and detectable
+   variants hold, and the crash scenarios actually inject crashes. *)
+let expectations =
+  let verdict v r = r.verdict = v in
+  let caught r = r.verdict = "violation" && r.violation_schedule <> None in
+  let crashes r = r.stats.Explore.crashes_injected > 0 in
+  [
+    ( "fig4-3proc",
+      "DPOR reduction did not bite",
+      fun r ->
+        verdict "ok" r
+        &&
+        match r.stats.Explore.schedule_bound with
+        | Some b -> r.stats.Explore.explored < b
+        | None -> false );
+    ("aba-unsafe-tag2", "2-bit-tag ABA mutant not caught", caught);
+    ("announced-plain-wrap", "plain tag wraparound not caught", caught);
+    ("announced-guarded-wrap", "guarded tags failed", verdict "ok");
+    ( "detectable-counter-crash",
+      "detectable counter lost exactly-once or injected no crash",
+      fun r -> verdict "ok" r && crashes r );
+    ( "naive-counter-crash",
+      "naive counter mutant not caught or injected no crash",
+      fun r -> caught r && crashes r );
+    ( "detectable-stack-crash",
+      "detectable stack lost exactly-once or injected no crash",
+      fun r -> verdict "ok" r && crashes r );
+  ]
+
+let suite_violations reports =
+  let doc = suite_to_json reports in
+  (if reports = [] then [ "suite emitted no scenarios" ] else [])
+  @ (match doc with
+    | Json.Obj kv when List.assoc_opt "suite" kv = Some (Json.Str "model-check")
+      ->
+        []
+    | _ -> [ "suite name is not model-check" ])
+  @ List.concat_map report_violations reports
+  @ List.filter_map
+      (fun (id, what, ok) ->
+        match List.find_opt (fun r -> r.name = id) reports with
+        | None -> Some (id ^ ": missing from the suite")
+        | Some r -> if ok r then None else Some (id ^ ": " ^ what))
+      expectations

@@ -56,3 +56,14 @@ val run_suite :
 
 val report_to_json : report -> Json.t
 val suite_to_json : report list -> Json.t
+
+val report_violations : report -> string list
+(** The per-scenario invariants: every JSON key present, the verdict
+    matches the expectation, something was explored, and a bounded
+    scenario explored no more than its bound. *)
+
+val suite_violations : report list -> string list
+(** {!report_violations} over every report, plus the suite-level
+    expectations: the DPOR reduction bites on [fig4-3proc], every seeded
+    mutant is caught with a violation schedule, the guarded and
+    detectable variants pass, and each crash scenario injects crashes. *)

@@ -4,37 +4,6 @@ module Obs = Aba_obs.Obs
 module Histogram = Aba_obs.Histogram
 module Clock = Aba_obs.Clock
 
-(* One row of the service sweep.  [scope] distinguishes the measurement
-   surface: "e2e" is the client-observed open-loop latency (completion
-   minus {e intended} arrival, so queueing delay counts), "shards" is
-   every shard operation's service time merged across shards through
-   {!Histogram.merge}, and "shard<i>" is one shard alone.  [slo] is the
-   fraction of ops within [slo_ns] — exact on the e2e row (counted
-   sample by sample), bucket-conservative on the histogram-derived
-   rows. *)
-type row = {
-  sv_structure : string;  (** stack | queue *)
-  sv_scope : string;
-  sv_shards : int;
-  sv_domains : int;
-  sv_steal : bool;
-  sv_combining : bool;
-  sv_skew : string;  (** uniform | hot *)
-  sv_ops : int;  (** per-domain operation count *)
-  sv_count : int;  (** samples behind this row's percentiles *)
-  sv_throughput : float;
-  sv_p50 : int;
-  sv_p90 : int;
-  sv_p99 : int;
-  sv_p999 : int;
-  sv_slo_ns : int;
-  sv_slo : float;
-  sv_steals : int;
-  sv_stolen : int;
-  sv_spills : int;
-  sv_batched : int;
-}
-
 (* The two concrete services reduced to the closures the workload
    drives; stats come back as a plain tuple because the two routers'
    stats records are distinct nominal types. *)
@@ -95,23 +64,13 @@ let exp_draw rand ~mean_ns =
   let u = float_of_int (1 + Rand.next_int rand 1_000_000) /. 1_000_000. in
   -.mean_ns *. Float.log u
 
-let print_header () =
-  Printf.printf "  %-6s %-8s %3s %2s %-5s %-5s %-8s %9s %12s %8s %8s %8s %6s %7s %7s\n"
-    "struct" "scope" "sh" "d" "steal" "comb" "skew" "count" "ops/s" "p50"
-    "p99" "p999" "slo" "steals" "spills"
-
-let print_row r =
-  Printf.printf
-    "  %-6s %-8s %3d %2d %-5b %-5b %-8s %9d %12.0f %8d %8d %8d %6.3f %7d %7d\n"
-    r.sv_structure r.sv_scope r.sv_shards r.sv_domains r.sv_steal
-    r.sv_combining r.sv_skew r.sv_count r.sv_throughput r.sv_p50 r.sv_p99
-    r.sv_p999 r.sv_slo r.sv_steals r.sv_spills
-
 (* One cell: run the open-loop workload, then cut the three row scopes
    out of the same execution. *)
-let cell ?(quiet = false) ~structure ~shards ~domains ~steal ~combining ~skew
-    ~ops ~slo_ns ~arrival_ns () =
-  let shard_obs = Array.init shards (fun _ -> Obs.create ~trace:0 ~n:domains ()) in
+let cell ~structure ~shards ~domains ~steal ~combining ~skew ~ops ~slo_ns
+    ~arrival_ns =
+  let shard_obs =
+    Array.init shards (fun _ -> Obs.create ~trace:0 ~n:domains ())
+  in
   let svc =
     make_service structure ~shards ~capacity:4096 ~n:domains ~steal ~combining
       ~shard_obs:(fun s -> shard_obs.(s))
@@ -156,37 +115,45 @@ let cell ?(quiet = false) ~structure ~shards ~domains ~steal ~combining ~skew
   let total = domains * ops in
   let steals, stolen, spills = svc.s_stats () in
   let batched = svc.s_batched () in
-  let base ~scope ~count ~slo (s : Histogram.summary) =
-    {
-      sv_structure = structure;
-      sv_scope = scope;
-      sv_shards = shards;
-      sv_domains = domains;
-      sv_steal = steal;
-      sv_combining = combining;
-      sv_skew = skew;
-      sv_ops = ops;
-      sv_count = count;
-      sv_throughput = float_of_int total /. dt;
-      sv_p50 = s.Histogram.p50;
-      sv_p90 = s.Histogram.p90;
-      sv_p99 = s.Histogram.p99;
-      sv_p999 = s.Histogram.p999;
-      sv_slo_ns = slo_ns;
-      sv_slo = slo;
-      sv_steals = steals;
-      sv_stolen = stolen;
-      sv_spills = spills;
-      sv_batched = batched;
-    }
+  (* [scope] distinguishes the measurement surface: "e2e" is the
+     client-observed open-loop latency (completion minus {e intended}
+     arrival, so queueing delay counts), "shards" is every shard
+     operation's service time merged across shards through
+     {!Histogram.merge}, and "shard<i>" is one shard alone.  [slo] is the
+     fraction of ops within [slo_ns]: exact on the e2e row (counted sample
+     by sample), bucket-conservative on the histogram-derived rows. *)
+  let base ~scope ~slo h =
+    Row.
+      [
+        ("structure", Str structure);
+        ("scope", Str scope);
+        ("shards", Int shards);
+        ("domains", Int domains);
+        ("steal", Bool steal);
+        ("combining", Bool combining);
+        ("skew", Str skew);
+        ("ops", Int ops);
+        ("count", Int (Histogram.count h));
+        ("ops_per_sec", Float (float_of_int total /. dt));
+      ]
+    @ Row.percentiles h
+    @ Row.
+        [
+          ("slo_ns", Int slo_ns);
+          ("slo", Float slo);
+          ("steals", Int steals);
+          ("stolen", Int stolen);
+          ("spills", Int spills);
+          ("batched", Int batched);
+        ]
   in
   (* The e2e row: exact SLO attainment from the per-sample counters. *)
   let e2e_row =
-    base ~scope:"e2e" ~count:(Histogram.count e2e)
+    base ~scope:"e2e"
       ~slo:
         (float_of_int (Array.fold_left ( + ) 0 slo_hits)
         /. float_of_int total)
-      (Histogram.summarize e2e)
+      e2e
   in
   (* Shard service times: each shard's per-kind histograms, merged
      bucket-wise — first per shard, then across all shards. *)
@@ -197,31 +164,18 @@ let cell ?(quiet = false) ~structure ~shards ~domains ~steal ~combining ~skew
     let h = Histogram.merge (shard_hists s) in
     base
       ~scope:(Printf.sprintf "shard%d" s)
-      ~count:(Histogram.count h)
       ~slo:(Histogram.fraction_le h slo_ns)
-      (Histogram.summarize h)
+      h
   in
   let merged =
     Histogram.merge (List.concat_map shard_hists (List.init shards Fun.id))
   in
   let merged_row =
-    base ~scope:"shards" ~count:(Histogram.count merged)
-      ~slo:(Histogram.fraction_le merged slo_ns)
-      (Histogram.summarize merged)
+    base ~scope:"shards" ~slo:(Histogram.fraction_le merged slo_ns) merged
   in
-  let rows = e2e_row :: merged_row :: List.init shards shard_row in
-  if not quiet then List.iter print_row rows;
-  rows
+  e2e_row :: merged_row :: List.init shards shard_row
 
-let sweep ?(quiet = false) ?(slo_ns = 10_000) ?(arrival_ns = 1_000)
-    ~structures ~shards ~domains ~ops () =
-  if not quiet then begin
-    Printf.printf
-      "\nService sweep (open loop, mean inter-arrival %d ns, SLO %d ns, %d \
-       ops/domain):\n"
-      arrival_ns slo_ns ops;
-    print_header ()
-  end;
+let sweep ~slo_ns ~arrival_ns ~structures ~shards ~domains ~ops =
   let cells = ref [] in
   let add c = cells := c :: !cells in
   List.iter
@@ -238,9 +192,8 @@ let sweep ?(quiet = false) ?(slo_ns = 10_000) ?(arrival_ns = 1_000)
                   List.iter
                     (fun combining ->
                       add
-                        (cell ~quiet ~structure ~shards:s ~domains:d ~steal
-                           ~combining ~skew:"uniform" ~ops ~slo_ns ~arrival_ns
-                           ()))
+                        (cell ~structure ~shards:s ~domains:d ~steal
+                           ~combining ~skew:"uniform" ~ops ~slo_ns ~arrival_ns))
                     [ false; true ])
                 steals)
             shards;
@@ -251,34 +204,9 @@ let sweep ?(quiet = false) ?(slo_ns = 10_000) ?(arrival_ns = 1_000)
             List.iter
               (fun steal ->
                 add
-                  (cell ~quiet ~structure ~shards:s_max ~domains:d ~steal
-                     ~combining:false ~skew:"hot" ~ops ~slo_ns ~arrival_ns ()))
+                  (cell ~structure ~shards:s_max ~domains:d ~steal
+                     ~combining:false ~skew:"hot" ~ops ~slo_ns ~arrival_ns))
               [ false; true ])
         domains)
     structures;
   List.concat (List.rev !cells)
-
-let row_to_json r =
-  Json.Obj
-    [
-      ("structure", Json.Str r.sv_structure);
-      ("scope", Json.Str r.sv_scope);
-      ("shards", Json.Int r.sv_shards);
-      ("domains", Json.Int r.sv_domains);
-      ("steal", Json.Bool r.sv_steal);
-      ("combining", Json.Bool r.sv_combining);
-      ("skew", Json.Str r.sv_skew);
-      ("ops", Json.Int r.sv_ops);
-      ("count", Json.Int r.sv_count);
-      ("ops_per_sec", Json.Float r.sv_throughput);
-      ("p50_ns", Json.Int r.sv_p50);
-      ("p90_ns", Json.Int r.sv_p90);
-      ("p99_ns", Json.Int r.sv_p99);
-      ("p999_ns", Json.Int r.sv_p999);
-      ("slo_ns", Json.Int r.sv_slo_ns);
-      ("slo", Json.Float r.sv_slo);
-      ("steals", Json.Int r.sv_steals);
-      ("stolen", Json.Int r.sv_stolen);
-      ("spills", Json.Int r.sv_spills);
-      ("batched", Json.Int r.sv_batched);
-    ]

@@ -18,59 +18,19 @@
     appends skewed-key ("hot") cells at the largest shard count — the
     steal on/off pair whose p999 gap is the work-stealing claim. *)
 
-type row = {
-  sv_structure : string;  (** stack | queue *)
-  sv_scope : string;  (** e2e | shards | shard<i> *)
-  sv_shards : int;
-  sv_domains : int;
-  sv_steal : bool;
-  sv_combining : bool;
-  sv_skew : string;  (** uniform | hot *)
-  sv_ops : int;  (** per-domain operation count *)
-  sv_count : int;  (** samples behind this row's percentiles *)
-  sv_throughput : float;  (** whole-cell ops per second *)
-  sv_p50 : int;
-  sv_p90 : int;
-  sv_p99 : int;
-  sv_p999 : int;
-  sv_slo_ns : int;
-  sv_slo : float;
-      (** fraction of ops within [slo_ns]: exact on e2e rows,
-          bucket-conservative ({!Aba_obs.Histogram.fraction_le}) on the
-          histogram-derived rows *)
-  sv_steals : int;
-  sv_stolen : int;
-  sv_spills : int;
-  sv_batched : int;  (** flat-combining ops served in others' rounds *)
-}
-
-val cell :
-  ?quiet:bool ->
-  structure:string ->
-  shards:int ->
-  domains:int ->
-  steal:bool ->
-  combining:bool ->
-  skew:string ->
-  ops:int ->
+val sweep :
   slo_ns:int ->
   arrival_ns:int ->
-  unit ->
-  row list
-(** One configuration, printed and returned as its scope rows. *)
-
-val sweep :
-  ?quiet:bool ->
-  ?slo_ns:int ->
-  ?arrival_ns:int ->
   structures:string list ->
   shards:int list ->
   domains:int list ->
   ops:int ->
-  unit ->
-  row list
-(** The full grid (see above).  [slo_ns] defaults to 10000 (10 us),
-    [arrival_ns] (mean inter-arrival per domain) to 1000; [quiet]
-    suppresses the human-readable table (pure-JSON callers). *)
-
-val row_to_json : row -> Json.t
+  Row.t list
+(** The full grid (see above).  [slo_ns] is the SLO budget, [arrival_ns]
+    the mean inter-arrival per domain.  Each row carries [structure],
+    [scope] ([e2e | shards | shard<i>]), the cell's axes, [count],
+    [ops_per_sec], the percentiles, [slo_ns], [slo] (fraction of ops
+    within [slo_ns]: exact on e2e rows, bucket-conservative
+    ({!Aba_obs.Histogram.fraction_le}) on the histogram-derived rows),
+    and the router's [steals], [stolen], [spills] and [batched]
+    (flat-combining ops served in others' rounds) counters. *)

@@ -43,13 +43,14 @@ end) : Mem_intf.S = struct
 
   (* Creation is not a shared-memory step, but objects may still be created
      from several domains (e.g. per-domain helper structures), so the space
-     list is kept with a CAS loop.  Creation order is preserved. *)
+     list is kept with a CAS loop.  Newest first (an append would make
+     creating m objects cost O(m^2)); [space] restores creation order. *)
   let objects : (string * string) list Atomic.t = Atomic.make []
 
   let register_object ~name bound_desc =
     let rec add () =
       let seen = Atomic.get objects in
-      if not (Atomic.compare_and_set objects seen (seen @ [ (name, bound_desc) ]))
+      if not (Atomic.compare_and_set objects seen ((name, bound_desc) :: seen))
       then add ()
     in
     add ()
@@ -255,7 +256,7 @@ end) : Mem_intf.S = struct
 
   let vl o ~pid = Atomic.get o.x == Padded.get o.link pid
 
-  let space () = Atomic.get objects
+  let space () = List.rev (Atomic.get objects)
 end
 
 let make ~n () : (module Mem_intf.S) =

@@ -1,9 +1,10 @@
 module Make () : Mem_intf.S = struct
   let mem_name = "seq"
+  (* Newest first; [space] restores creation order. *)
   let objects : (string * string) list ref = ref []
 
   let register_object ~name bound_desc =
-    objects := !objects @ [ (name, bound_desc) ]
+    objects := (name, bound_desc) :: !objects
 
   let desc_of = function
     | None -> "unbounded"
@@ -170,7 +171,7 @@ module Make () : Mem_intf.S = struct
 
   let vl o ~pid = link_valid o pid
 
-  let space () = !objects
+  let space () = List.rev !objects
 end
 
 let make () : (module Mem_intf.S) = (module Make ())

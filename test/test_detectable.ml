@@ -137,6 +137,49 @@ let naive_counter_duplicates () =
   check_bool "some crash point makes the naive recovery duplicate" true
     !duplicated
 
+(* ----- Counter: exactly-once through multicore crashes ----- *)
+
+(* Every [crash_every]-th increment per domain runs on an armed fuse; a
+   crashed increment counts iff recovery reports it took effect, and the
+   final value must equal the effective increments across all domains. *)
+let counter_crash_churn () =
+  let domains = 2 and ops = 2_000 and crash_every = 7 in
+  let m = Rt_mem.make ~n:domains () in
+  let module M = (val m : Mem_intf.S) in
+  let module D = Detectable.Make (M) in
+  let fuse = H.Fuse.create ~n:domains in
+  let c =
+    D.Counter.create ~on_step:(H.Fuse.on_step fuse) ~name:"ctr" ~n:domains ()
+  in
+  let results =
+    H.run_domains ~n:domains (fun d ->
+        let eff = ref 0 and crashes = ref 0 in
+        for i = 1 to ops do
+          if i mod crash_every = 0 then begin
+            H.Fuse.arm fuse ~pid:d
+              ~steps:(H.default_fuse_steps ~pid:d ~round:i);
+            try
+              ignore (D.Counter.inc c ~pid:d : int);
+              H.Fuse.disarm fuse ~pid:d;
+              incr eff
+            with H.Injected_crash -> (
+              incr crashes;
+              match D.Counter.recover c ~pid:d with
+              | Some _ -> incr eff
+              | None -> ())
+          end
+          else begin
+            ignore (D.Counter.inc c ~pid:d : int);
+            incr eff
+          end
+        done;
+        (!eff, !crashes))
+  in
+  let sum f = Array.fold_left (fun a r -> a + f r) 0 results in
+  check_bool "crashes were injected" true (sum snd > 0);
+  check_int "exactly-once: final = effective increments" (sum fst)
+    (D.Counter.read c)
+
 (* ----- Stack: crash-churn exactly-once audit (multicore) ----- *)
 
 let stack_plan ~fuse ~crash_every
@@ -282,4 +325,6 @@ let suite =
       dpor_stack_crash;
     Alcotest.test_case "dpor crash moves default off" `Quick
       dpor_crashes_default_off;
+    Alcotest.test_case "counter crash-churn is exactly-once (multicore)"
+      `Quick counter_crash_churn;
   ]

@@ -23,4 +23,5 @@ let () =
       ("observability", Test_obs.suite);
       ("service", Test_service.suite);
       ("detectable", Test_detectable.suite);
+      ("bench", Test_bench.suite);
     ]

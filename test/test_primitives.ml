@@ -39,15 +39,18 @@ let seq_mem_llsc_convention () =
   Alcotest.(check bool) "vl after" false (M.vl l ~pid:2);
   Alcotest.(check bool) "second blind sc fails" false (M.sc l ~pid:1 7)
 
-let seq_mem_space_accounting () =
-  let module M = (val Seq_mem.make ()) in
+(* [space ()] lists objects in creation order on both list-keeping
+   backends. *)
+let space_accounting mem () =
+  let module M = (val mem () : Aba_primitives.Mem_intf.S) in
   let _ = M.make_register ~name:"r1" ~show:string_of_int 0 in
   let _ =
     M.make_cas ~bound:(Bounded.int_mod 4) ~name:"c1" ~show:string_of_int 1
   in
+  let _ = M.make_llsc ~name:"l1" ~show:string_of_int 2 in
   Alcotest.(check (list (pair string string)))
-    "names and domains"
-    [ ("r1", "unbounded"); ("c1", "[0..3]") ]
+    "names and domains, in creation order"
+    [ ("r1", "unbounded"); ("c1", "[0..3]"); ("l1", "unbounded") ]
     (M.space ())
 
 let seq_mem_writable_guard () =
@@ -150,7 +153,9 @@ let suite =
     Alcotest.test_case "seq_mem LL/SC convention" `Quick
       seq_mem_llsc_convention;
     Alcotest.test_case "seq_mem space accounting" `Quick
-      seq_mem_space_accounting;
+      (space_accounting Seq_mem.make);
+    Alcotest.test_case "rt_mem space accounting" `Quick
+      (space_accounting (Aba_primitives.Rt_mem.make ~n:2));
     Alcotest.test_case "seq_mem writable guard" `Quick seq_mem_writable_guard;
     Alcotest.test_case "seq_mem bound guard" `Quick seq_mem_bound_guard;
     Alcotest.test_case "event utilities" `Quick event_utilities;

@@ -116,10 +116,14 @@ let wraparound_churn_rt () =
 
 (* ----- Bounded churn audits (the acceptance workload) ----- *)
 
-let churn_audit name push pop () =
+(* Each structure is built inside the test thunk, before [Harness.churn]
+   starts its domains: a lazily built structure forced from 4 churn
+   domains at once races ([CamlinternalLazy.Undefined] on multi-core). *)
+let churn_audit name make push pop () =
+  let q = make () in
   let report =
     Aba_runtime.Harness.churn ~mix:Aba_runtime.Harness.Bounded ~n:4 ~ops:5000
-      ~push ~pop ()
+      ~push:(push q) ~pop:(pop q) ()
   in
   (match report.Aba_runtime.Harness.outcome with
   | Ok () -> ()
@@ -132,22 +136,20 @@ let churn_audit name push pop () =
     (report.Aba_runtime.Harness.popped + report.Aba_runtime.Harness.remaining)
 
 let ring_churn =
-  let q = lazy (Rt_ring.create ~capacity:64 ~n:4 ()) in
   churn_audit "rt ring"
-    (fun ~pid v -> Rt_ring.try_enqueue (Lazy.force q) ~pid v)
-    (fun ~pid -> Rt_ring.try_dequeue (Lazy.force q) ~pid)
+    (fun () -> Rt_ring.create ~capacity:64 ~n:4 ())
+    Rt_ring.try_enqueue Rt_ring.try_dequeue
 
 let blocking_churn =
-  let q = lazy (Blocking.create ~max_polls:4 ~capacity:64 ~n:4 ()) in
   churn_audit "blocking ring"
-    (fun ~pid v -> Blocking.enqueue (Lazy.force q) ~pid v)
-    (fun ~pid -> Rt_ring.try_dequeue (Blocking.ring (Lazy.force q)) ~pid)
+    (fun () -> Blocking.create ~max_polls:4 ~capacity:64 ~n:4 ())
+    Blocking.enqueue
+    (fun q ~pid -> Rt_ring.try_dequeue (Blocking.ring q) ~pid)
 
 let two_lock_churn =
-  let q = lazy (Two_lock.create ~capacity:64 ~n:4 ()) in
   churn_audit "two-lock"
-    (fun ~pid v -> Two_lock.try_enqueue (Lazy.force q) ~pid v)
-    (fun ~pid -> Two_lock.try_dequeue (Lazy.force q) ~pid)
+    (fun () -> Two_lock.create ~capacity:64 ~n:4 ())
+    Two_lock.try_enqueue Two_lock.try_dequeue
 
 (* ----- Blocking wrapper ----- *)
 
