@@ -44,9 +44,10 @@ end)
   let create ?(value_bound = Bounded.int_range ~lo:(-1) ~hi:255)
       ?(init = initial_value) ?(padded = false) ?backoff:_ ~n () =
     let bound =
-      Bounded.make ~describe:
-        (Printf.sprintf "(%s * pid<%d * tag<%d) option"
-           (Bounded.describe value_bound) n tag_bound)
+      Bounded.make
+        ~describe:(fun () ->
+          Printf.sprintf "(%s * pid<%d * tag<%d) option"
+            (Bounded.describe value_bound) n tag_bound)
         (function
           | None -> true
           | Some { value; writer; tag } ->

@@ -75,9 +75,9 @@ end)
     let seq_ceiling = Ceiling.seq_ceiling ~n in
     let x_bound =
       Bounded.make
-        ~describe:
-          (Printf.sprintf "(%s * pid<%d * seq<=%d) option"
-             (Bounded.describe value_bound) n seq_ceiling)
+        ~describe:(fun () ->
+          Printf.sprintf "(%s * pid<%d * seq<=%d) option"
+            (Bounded.describe value_bound) n seq_ceiling)
         (function
           | None -> true
           | Some { value; writer; seq } ->
@@ -87,7 +87,8 @@ end)
     in
     let a_bound =
       Bounded.make
-        ~describe:(Printf.sprintf "(pid<%d * seq<=%d) option" n seq_ceiling)
+        ~describe:(fun () ->
+          Printf.sprintf "(pid<%d * seq<=%d) option" n seq_ceiling)
         (function
           | None -> true
           | Some (p, s) -> Pid.is_valid ~n p && 0 <= s && s <= seq_ceiling)
@@ -99,7 +100,7 @@ end)
     let announce =
       Array.init n (fun q ->
           M.make_register ~bound:a_bound ~padded
-            ~name:(Printf.sprintf "A[%d]" q)
+            ~name:("A[" ^ string_of_int q ^ "]")
             ~show:show_a None)
     in
     {

@@ -37,9 +37,9 @@ end)
       ?(init = initial_value) ?(padded = false) ?backoff:_ ~n () =
     let bound =
       Bounded.make
-        ~describe:
-          (Printf.sprintf "(%s * tag<%d)" (Bounded.describe value_bound)
-             tag_bound)
+        ~describe:(fun () ->
+          Printf.sprintf "(%s * tag<%d)" (Bounded.describe value_bound)
+            tag_bound)
         (fun { value; tag } ->
           Bounded.mem value_bound value && 0 <= tag && tag < tag_bound)
     in

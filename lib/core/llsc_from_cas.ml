@@ -72,9 +72,8 @@ end)
     if n > 61 then invalid_arg "Llsc_from_cas: n must be at most 61";
     let bound =
       Bounded.make
-        ~describe:
-          (Printf.sprintf "(%s * %d-bit mask)" (Bounded.describe value_bound)
-             n)
+        ~describe:(fun () ->
+          Printf.sprintf "(%s * %d-bit mask)" (Bounded.describe value_bound) n)
         (fun { value; mask } ->
           Bounded.mem value_bound value && 0 <= mask && mask < 1 lsl n)
     in

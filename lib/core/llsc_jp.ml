@@ -59,9 +59,9 @@ module Make (M : Mem_intf.S) : Llsc_intf.S = struct
     let seq_ceiling = (2 * n) + 1 in
     let x_bound =
       Bounded.make
-        ~describe:
-          (Printf.sprintf "(%s * pid<%d * seq<=%d) option"
-             (Bounded.describe value_bound) n seq_ceiling)
+        ~describe:(fun () ->
+          Printf.sprintf "(%s * pid<%d * seq<=%d) option"
+            (Bounded.describe value_bound) n seq_ceiling)
         (function
           | None -> true
           | Some { value; writer; seq } ->
@@ -71,7 +71,8 @@ module Make (M : Mem_intf.S) : Llsc_intf.S = struct
     in
     let a_bound =
       Bounded.make
-        ~describe:(Printf.sprintf "(pid<%d * seq<=%d) option" n seq_ceiling)
+        ~describe:(fun () ->
+          Printf.sprintf "(pid<%d * seq<=%d) option" n seq_ceiling)
         (function
           | None -> true
           | Some (p, s) -> Pid.is_valid ~n p && 0 <= s && s <= seq_ceiling)
@@ -82,7 +83,7 @@ module Make (M : Mem_intf.S) : Llsc_intf.S = struct
       announce =
         Array.init n (fun q ->
             M.make_register ~bound:a_bound ~padded
-              ~name:(Printf.sprintf "A[%d]" q)
+              ~name:("A[" ^ string_of_int q ^ "]")
               ~show:show_a None);
       locals =
         Array.init n (fun _ ->

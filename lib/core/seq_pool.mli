@@ -36,4 +36,6 @@ val ceiling : t -> int
 val next :
   t -> me:Pid.t -> read_announce:(int -> (Pid.t * int) option) -> int
 (** [next pool ~me ~read_announce] — [read_announce c] must perform the
-    (single) shared read of announce entry [c] and return its content. *)
+    (single) shared read of announce entry [c] and return its content.
+    [next] itself allocates nothing: the exclusion bitmap and the [usedQ]
+    ring are preallocated in the pool, which belongs to one process. *)

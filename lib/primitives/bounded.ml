@@ -1,25 +1,32 @@
-type 'a t = { mem : 'a -> bool; size : int option; describe : string }
+(* The description is a thunk: domains are built for every simulated
+   instance, and rendering one costs more than building it, while it is
+   read only by an error message or a space table. *)
+type 'a t = { mem : 'a -> bool; size : int option; describe : unit -> string }
 
 let mem d v = d.mem v
 let size d = d.size
-let describe d = d.describe
+let describe d = d.describe ()
 
 let check ~what d v =
   if not (d.mem v) then
     invalid_arg
       (Printf.sprintf "Bounded.check: %s received a value outside domain %s"
-         what d.describe)
+         what (d.describe ()))
 
 let make ?size ~describe mem = { mem; size; describe }
-let unbounded ~describe = { mem = (fun _ -> true); size = None; describe }
-let bool = { mem = (fun _ -> true); size = Some 2; describe = "bool" }
+
+let unbounded ~describe =
+  { mem = (fun _ -> true); size = None; describe = (fun () -> describe) }
+
+let bool =
+  { mem = (fun _ -> true); size = Some 2; describe = (fun () -> "bool") }
 
 let int_range ~lo ~hi =
   if hi < lo then invalid_arg "Bounded.int_range: hi < lo";
   {
     mem = (fun v -> lo <= v && v <= hi);
     size = Some (hi - lo + 1);
-    describe = Printf.sprintf "[%d..%d]" lo hi;
+    describe = (fun () -> Printf.sprintf "[%d..%d]" lo hi);
   }
 
 let int_mod m =
@@ -32,7 +39,7 @@ let option d =
   {
     mem = (function None -> true | Some v -> d.mem v);
     size = opt_size d.size;
-    describe = d.describe ^ " option";
+    describe = (fun () -> d.describe () ^ " option");
   }
 
 let mul_size a b =
@@ -42,7 +49,8 @@ let pair da db =
   {
     mem = (fun (a, b) -> da.mem a && db.mem b);
     size = mul_size da.size db.size;
-    describe = Printf.sprintf "(%s * %s)" da.describe db.describe;
+    describe =
+      (fun () -> Printf.sprintf "(%s * %s)" (da.describe ()) (db.describe ()));
   }
 
 let triple da db dc =
@@ -50,7 +58,9 @@ let triple da db dc =
     mem = (fun (a, b, c) -> da.mem a && db.mem b && dc.mem c);
     size = mul_size da.size (mul_size db.size dc.size);
     describe =
-      Printf.sprintf "(%s * %s * %s)" da.describe db.describe dc.describe;
+      (fun () ->
+        Printf.sprintf "(%s * %s * %s)" (da.describe ()) (db.describe ())
+          (dc.describe ()));
   }
 
 let bits ~width =
@@ -58,5 +68,5 @@ let bits ~width =
   {
     mem = (fun v -> 0 <= v && v < 1 lsl width);
     size = Some (1 lsl width);
-    describe = Printf.sprintf "%d-bit mask" width;
+    describe = (fun () -> Printf.sprintf "%d-bit mask" width);
   }

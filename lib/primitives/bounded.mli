@@ -26,7 +26,12 @@ val check : what:string -> 'a t -> 'a -> unit
 
 (** {1 Constructors} *)
 
-val make : ?size:int -> describe:string -> ('a -> bool) -> 'a t
+val make : ?size:int -> describe:(unit -> string) -> ('a -> bool) -> 'a t
+(** [make ~describe mem] is the domain of the values satisfying [mem].  The
+    description is rendered by [describe ()] each time it is read
+    ({!describe}, or the message of a failed {!check}), not when the
+    domain is built: simulated instances build their domains on every
+    rebuild and read the descriptions only for space tables and errors. *)
 
 val unbounded : describe:string -> 'a t
 (** A domain accepting every value, with [size = None].  Base objects over

@@ -45,7 +45,7 @@ end) : Mem_intf.S = struct
      from several domains (e.g. per-domain helper structures), so the space
      list is kept with a CAS loop.  Newest first (an append would make
      creating m objects cost O(m^2)); [space] restores creation order. *)
-  let objects : (string * string) list Atomic.t = Atomic.make []
+  let objects : (string * (unit -> string)) list Atomic.t = Atomic.make []
 
   let register_object ~name bound_desc =
     let rec add () =
@@ -55,9 +55,9 @@ end) : Mem_intf.S = struct
     in
     add ()
 
-  let desc_of = function
-    | None -> "unbounded"
-    | Some b -> Bounded.describe b
+  (* Descriptions are rendered only when [space] reads them. *)
+  let desc_of bound () =
+    match bound with None -> "unbounded" | Some b -> Bounded.describe b
 
   let guard bound name v =
     match bound with
@@ -256,7 +256,8 @@ end) : Mem_intf.S = struct
 
   let vl o ~pid = Atomic.get o.x == Padded.get o.link pid
 
-  let space () = List.rev (Atomic.get objects)
+  let space () =
+    List.rev_map (fun (name, desc) -> (name, desc ())) (Atomic.get objects)
 end
 
 let make ~n () : (module Mem_intf.S) =

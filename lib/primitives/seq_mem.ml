@@ -1,14 +1,14 @@
 module Make () : Mem_intf.S = struct
   let mem_name = "seq"
   (* Newest first; [space] restores creation order. *)
-  let objects : (string * string) list ref = ref []
+  let objects : (string * (unit -> string)) list ref = ref []
 
   let register_object ~name bound_desc =
     objects := (name, bound_desc) :: !objects
 
-  let desc_of = function
-    | None -> "unbounded"
-    | Some b -> Bounded.describe b
+  (* Descriptions are rendered only when [space] reads them. *)
+  let desc_of bound () =
+    match bound with None -> "unbounded" | Some b -> Bounded.describe b
 
   let guard bound name v =
     match bound with
@@ -171,7 +171,7 @@ module Make () : Mem_intf.S = struct
 
   let vl o ~pid = link_valid o pid
 
-  let space () = List.rev !objects
+  let space () = List.rev_map (fun (name, desc) -> (name, desc ())) !objects
 end
 
 let make () : (module Mem_intf.S) = (module Make ())

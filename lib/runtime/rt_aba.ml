@@ -48,7 +48,9 @@ module Fig4 = struct
      native int domain.  The runtime register is int-only (every existing
      use site stores ints); generic payloads stay with {!Stamped}. *)
   let int63 =
-    Aba_primitives.Bounded.make ~describe:"int63" (fun (_ : int) -> true)
+    Aba_primitives.Bounded.make
+      ~describe:(fun () -> "int63")
+      (fun (_ : int) -> true)
 
   let create ?(padded = false) ?(combining = false) ?window
       ?(obs = Obs.noop) ~n init =

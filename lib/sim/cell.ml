@@ -9,12 +9,12 @@ type t = {
   mutable value : Univ.t;
   show : Univ.t -> string;
   check_domain : Univ.t -> unit;
-  domain_desc : string;
+  domain_desc : unit -> string;
   mutable llsc_seq : int;
-  llsc_link : (Pid.t, int) Hashtbl.t;
+  llsc_link : int array;
 }
 
-let make ~id ~name ~kind ~show ~check_domain ~domain_desc ~init =
+let make ~id ~n ~name ~kind ~show ~check_domain ~domain_desc ~init =
   check_domain init;
   {
     id;
@@ -25,7 +25,7 @@ let make ~id ~name ~kind ~show ~check_domain ~domain_desc ~init =
     check_domain;
     domain_desc;
     llsc_seq = 0;
-    llsc_link = Hashtbl.create 8;
+    llsc_link = (match kind with Llsc_obj -> Array.make n 0 | _ -> [||]);
   }
 
 let is_register c = c.kind = Register

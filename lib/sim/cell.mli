@@ -20,20 +20,26 @@ type t = {
   mutable value : Univ.t;
   show : Univ.t -> string;
   check_domain : Univ.t -> unit;
-  domain_desc : string;
+  domain_desc : unit -> string;
+      (** Renders the value domain, for space tables. *)
   mutable llsc_seq : int;  (** Successful-SC count, for LL/SC semantics. *)
-  llsc_link : (Pid.t, int) Hashtbl.t;
+  llsc_link : int array;
+      (** Per pid: [llsc_seq] at its last LL, [0] before any.  Allocated
+          for [Llsc_obj] cells only; empty for every other kind. *)
 }
 
 val make :
   id:int ->
+  n:int ->
   name:string ->
   kind:kind ->
   show:(Univ.t -> string) ->
   check_domain:(Univ.t -> unit) ->
-  domain_desc:string ->
+  domain_desc:(unit -> string) ->
   init:Univ.t ->
   t
+(** [n] is the number of processes, sizing the link state of an
+    [Llsc_obj] cell. *)
 
 val is_register : t -> bool
 (** True for plain read/write registers (the objects counted by

@@ -100,14 +100,15 @@ module Incremental = struct
      A path entry is a {e move}: process [p]'s ordinary action is recorded
      as [p] itself, a crash of [p] as the negative code [-(p + 1)].  Both
      replay deterministically, so a rewind reproduces crash-containing
-     prefixes exactly. *)
+     prefixes exactly.  The path is a growable array whose first [depth]
+     entries are live: a rewind truncates it in place. *)
   type ('op, 'res) u = {
     make : unit -> ('op, 'res) t;
     scripts : 'op list array;
     on_crash : Pid.t -> 'op list;
     mutable driver : ('op, 'res) t;
     mutable remaining : 'op list array;
-    mutable path_rev : Pid.t list;  (** executed moves, newest first *)
+    mutable moves : int array;  (** executed moves, oldest first *)
     mutable depth : int;
     mutable rebuilds : int;
     mutable actions_executed : int;
@@ -118,10 +119,14 @@ module Incremental = struct
   let is_crash_move m = m < 0
   let pid_of_move m = if m >= 0 then m else -m - 1
 
-  let act u p =
+  let footprint_of d p = Option.map Step.footprint (Sim.poised (sim d) p)
+
+  (* The action itself; [with_fp] asks for the executed step's footprint
+     (a replay does not need it). *)
+  let act ~with_fp u p =
     let d = u.driver in
     if pending d p then begin
-      let fp = Option.map Step.footprint (Sim.poised (sim d) p) in
+      let fp = if with_fp then footprint_of d p else None in
       step d p;
       fp
     end
@@ -132,7 +137,7 @@ module Incremental = struct
           u.remaining.(p) <- rest;
           invoke d p op;
           if pending d p then begin
-            let fp = Option.map Step.footprint (Sim.poised (sim d) p) in
+            let fp = if with_fp then footprint_of d p else None in
             step d p;
             fp
           end
@@ -147,13 +152,14 @@ module Incremental = struct
     | [] -> ()
     | recovery -> u.remaining.(p) <- recovery @ u.remaining.(p)
 
-  let do_move u m =
-    let p = pid_of_move m in
-    if is_crash_move m then begin
-      crash_act u p;
-      None
-    end
-    else act u p
+  let push u m =
+    if u.depth = Array.length u.moves then begin
+      let grown = Array.make (max 16 (2 * u.depth)) 0 in
+      Array.blit u.moves 0 grown 0 u.depth;
+      u.moves <- grown
+    end;
+    u.moves.(u.depth) <- m;
+    u.depth <- u.depth + 1
 
   let create ?(on_crash = fun _ -> []) ~make ~scripts () =
     {
@@ -162,7 +168,7 @@ module Incremental = struct
       on_crash;
       driver = make ();
       remaining = Array.copy scripts;
-      path_rev = [];
+      moves = [||];
       depth = 0;
       rebuilds = 0;
       actions_executed = 0;
@@ -171,54 +177,51 @@ module Incremental = struct
 
   let driver u = u.driver
   let depth u = u.depth
-  let path u = List.rev u.path_rev
+  let path u = List.init u.depth (Array.get u.moves)
 
   let enabled u =
     let d = u.driver in
-    List.filter
-      (fun p -> pending d p || u.remaining.(p) <> [])
-      (Pid.all ~n:(Sim.n (sim d)))
+    let rec from p acc =
+      if p < 0 then acc
+      else
+        from (p - 1)
+          (if pending d p || u.remaining.(p) <> [] then p :: acc else acc)
+    in
+    from (Sim.n (sim d) - 1) []
 
-  let next_footprint u p =
-    Option.map Step.footprint (Sim.poised (sim u.driver) p)
+  let next_footprint u p = footprint_of u.driver p
 
   let advance u p =
-    let fp = act u p in
-    u.path_rev <- p :: u.path_rev;
-    u.depth <- u.depth + 1;
+    let fp = act ~with_fp:true u p in
+    push u p;
     u.actions_executed <- u.actions_executed + 1;
     fp
 
   let crash u p =
     crash_act u p;
-    u.path_rev <- crash_move p :: u.path_rev;
-    u.depth <- u.depth + 1;
+    push u (crash_move p);
     u.actions_executed <- u.actions_executed + 1
 
   (* Checkpointed re-execution: the retained path is the checkpoint.  A
      rewind to depth [d] rebuilds a fresh instance and replays exactly the
-     deepest common prefix (the first [d] actions) — once per backtrack,
-     not once per node as the naive explorer does. *)
-  let rec take k = function
-    | x :: rest when k > 0 -> x :: take (k - 1) rest
-    | _ -> []
-
+     first [d] moves of the path — once per backtrack, not once per node
+     as the naive explorer does.  The moves are replayed from the array
+     they already sit in, and without computing footprints. *)
   let rewind u ~depth:d =
     if d < 0 || d > u.depth then invalid_arg "Driver.Incremental.rewind";
     if d <> u.depth then begin
-      let prefix = take d (List.rev u.path_rev) in
+      Sim.discard (sim u.driver);
       u.driver <- u.make ();
       u.remaining <- Array.copy u.scripts;
-      u.path_rev <- [];
-      u.depth <- 0;
       u.rebuilds <- u.rebuilds + 1;
-      List.iter
-        (fun m ->
-          ignore (do_move u m);
-          u.path_rev <- m :: u.path_rev;
-          u.depth <- u.depth + 1;
-          u.actions_replayed <- u.actions_replayed + 1)
-        prefix
+      for i = 0 to d - 1 do
+        let m = u.moves.(i) in
+        let p = pid_of_move m in
+        if is_crash_move m then crash_act u p
+        else ignore (act ~with_fp:false u p)
+      done;
+      u.depth <- d;
+      u.actions_replayed <- u.actions_replayed + d
     end
 
   type stats = {

@@ -122,7 +122,10 @@ val dpor :
     appear as negative path entries
     ({!Driver.Incremental.pid_of_move}).  With a positive [crash_bound]
     the crash-free multinomial no longer bounds the search, so
-    [schedule_bound] is reported as [None]. *)
+    [schedule_bound] is reported as [None].
+
+    Process sets are machine-word bitmasks: raises [Invalid_argument] for
+    more than [Sys.int_size] processes. *)
 
 (** {1 Schedule counting} *)
 

@@ -19,10 +19,11 @@ type trace_entry = { index : int; pid : Pid.t; descr : string }
 type t = {
   n : int;
   procs : proc array;
+  handlers : (unit, unit) Effect.Deep.handler array;
+      (** per process, built once: installed by every [invoke] *)
   mutable cell_list : Cell.t list;  (** reversed creation order *)
   mutable next_cell_id : int;
   mutable total_steps : int;
-  mutable current : Pid.t;  (** pid whose code is currently running *)
   mutable recording : bool;
   mutable trace_rev : trace_entry list;
 }
@@ -31,17 +32,39 @@ exception Process_crashed of Pid.t * exn
 
 type 'a promise = { mutable value : 'a option; counter : int ref }
 
+(* The step handler of process [pr].  A method call runs under it from
+   its invocation up to its first shared-memory effect, its return, or an
+   exception.  The handler stays installed in the captured continuation,
+   so [step] resumes a poised process directly and the same handler
+   catches its next effect: one fiber per call, not per step, and one
+   handler per process, not per call. *)
+let handler pr : (unit, unit) Effect.Deep.handler =
+  {
+    retc = Fun.id;
+    exnc = (fun e -> pr.state <- Crashed e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Do_step s ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                pr.state <- Poised (s, k))
+        | _ -> None);
+  }
+
 let create ~n =
   if n <= 0 then invalid_arg "Sim.create: n must be positive";
+  let procs =
+    Array.init n (fun pid ->
+        { pid; state = Idle; steps = 0; call_steps = ref 0 })
+  in
   {
     n;
-    procs =
-      Array.init n (fun pid ->
-          { pid; state = Idle; steps = 0; call_steps = ref 0 });
+    procs;
+    handlers = Array.map handler procs;
     cell_list = [];
     next_cell_id = 0;
     total_steps = 0;
-    current = -1;
     recording = false;
     trace_rev = [];
   }
@@ -52,31 +75,6 @@ let proc sim p =
   Pid.check ~n:sim.n p;
   sim.procs.(p)
 
-(* Run a thunk of process [p] under the step handler.  The thunk is either a
-   fresh method call or the continuation of a poised one; it executes local
-   computation until the next shared-memory effect, the method's return, or
-   an exception. *)
-let run_as sim p (f : unit -> unit) =
-  let pr = sim.procs.(p) in
-  let saved = sim.current in
-  sim.current <- p;
-  let handler : (unit, unit) Effect.Deep.handler =
-    {
-      retc = Fun.id;
-      exnc = (fun e -> pr.state <- Crashed e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Do_step s ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  pr.state <- Poised (s, k))
-          | _ -> None);
-    }
-  in
-  Effect.Deep.match_with f () handler;
-  sim.current <- saved
-
 let invoke sim p (call : unit -> 'a) : 'a promise =
   let pr = proc sim p in
   (match pr.state with
@@ -86,7 +84,9 @@ let invoke sim p (call : unit -> 'a) : 'a promise =
   | Crashed e -> raise (Process_crashed (p, e)));
   let promise = { value = None; counter = ref 0 } in
   pr.call_steps <- promise.counter;
-  run_as sim p (fun () -> promise.value <- Some (call ()));
+  Effect.Deep.match_with
+    (fun () -> promise.value <- Some (call ()))
+    () sim.handlers.(p);
   (match pr.state with Crashed e -> raise (Process_crashed (p, e)) | _ -> ());
   promise
 
@@ -114,15 +114,16 @@ let step sim p =
           :: sim.trace_rev;
       pr.state <- Idle;
       (* overwritten if the continuation suspends again *)
-      run_as sim p (fun () -> Effect.Deep.continue k outcome);
+      Effect.Deep.continue k outcome;
       (match pr.state with
       | Crashed e -> raise (Process_crashed (p, e))
       | Idle | Poised _ -> ())
 
 (* A crash erases the process's program state — the poised step and the
-   suspended continuation are simply dropped (an unresumed one-shot
-   continuation is GC'd; discontinuing it would run the method's exception
-   handlers, which a crashed process never gets to do) — while every cell
+   suspended continuation are simply dropped (discontinuing it would run
+   the method's exception handlers, which a crashed process never gets to
+   do; the price is that the dropped continuation's fiber stack is never
+   reclaimed) — while every cell
    registered with the simulator survives untouched.  The pending call's
    promise is never fulfilled: the operation neither returned nor, as far
    as the crashed process can tell, certainly took effect.  That is the
@@ -140,6 +141,21 @@ let crash sim p =
         sim.trace_rev <-
           { index = sim.total_steps; pid = p; descr = "crash" }
           :: sim.trace_rev
+
+exception Discarded
+
+(* An effect continuation that is never resumed keeps its fiber stack for
+   good, so a simulation about to be dropped unwinds its poised calls
+   first.  Nothing observes the simulation afterwards, so running their
+   exception handlers is harmless; a step one of them performs while
+   unwinding only suspends it again. *)
+let discard sim =
+  Array.iter
+    (fun pr ->
+      match pr.state with
+      | Poised (_, k) -> Effect.Deep.discontinue k Discarded
+      | Idle | Crashed _ -> ())
+    sim.procs
 
 let run_schedule sim sigma = List.iter (step sim) sigma
 let result promise = promise.value
@@ -205,7 +221,9 @@ let clear_trace sim = sim.trace_rev <- []
 let register_cell sim ~name ~kind ~show ~check_domain ~domain_desc ~init =
   let id = sim.next_cell_id in
   sim.next_cell_id <- id + 1;
-  let c = Cell.make ~id ~name ~kind ~show ~check_domain ~domain_desc ~init in
+  let c =
+    Cell.make ~id ~n:sim.n ~name ~kind ~show ~check_domain ~domain_desc ~init
+  in
   sim.cell_list <- c :: sim.cell_list;
   c
 

@@ -60,6 +60,13 @@ val crash : t -> Pid.t -> unit
     detectable recovery must determine.  Raises [Invalid_argument] if [p]
     is idle (there is nothing to crash). *)
 
+val discard : t -> unit
+(** Release the suspended method calls of a simulation that is about to be
+    dropped: every poised process's continuation is discontinued, which
+    frees its fiber stack (a continuation that is never resumed keeps its
+    stack for good).  The processes end up crashed; use the simulation no
+    further. *)
+
 val run_schedule : t -> Pid.t list -> unit
 (** [run_schedule sim sigma] steps processes in the order of [sigma]. *)
 
@@ -128,6 +135,6 @@ val register_cell :
   kind:Cell.kind ->
   show:(Univ.t -> string) ->
   check_domain:(Univ.t -> unit) ->
-  domain_desc:string ->
+  domain_desc:(unit -> string) ->
   init:Univ.t ->
   Cell.t

@@ -56,7 +56,7 @@ end) : Mem_intf.S = struct
               invalid_arg
                 (Printf.sprintf "Sim_mem: foreign value written to %s" name))
     in
-    let domain_desc =
+    let domain_desc () =
       match bound with None -> "unbounded" | Some b -> Bounded.describe b
     in
     let cell =
@@ -184,7 +184,7 @@ end) : Mem_intf.S = struct
 
   let space () =
     List.rev_map
-      (fun (c : Cell.t) -> (c.Cell.name, c.Cell.domain_desc))
+      (fun (c : Cell.t) -> (c.Cell.name, c.Cell.domain_desc ()))
       !created
 end
 

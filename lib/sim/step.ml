@@ -49,10 +49,12 @@ let bad_kind step_name (c : Cell.t) =
     (Printf.sprintf "Step.execute: %s on %s %s" step_name
        (Cell.kind_name c.kind) c.name)
 
+(* A pid that never linked counts as linked at sequence 0.  Only
+   [Llsc_obj] cells carry link state; on any other cell every pid is in
+   that never-linked case. *)
 let link_valid (c : Cell.t) pid =
-  match Hashtbl.find_opt c.llsc_link pid with
-  | Some s -> s = c.llsc_seq
-  | None -> c.llsc_seq = 0
+  if pid < Array.length c.llsc_link then c.llsc_link.(pid) = c.llsc_seq
+  else c.llsc_seq = 0
 
 let would_succeed ~pid step =
   match step with
@@ -86,7 +88,7 @@ let execute ~pid step =
   | Ll c -> (
       match c.Cell.kind with
       | Cell.Llsc_obj ->
-          Hashtbl.replace c.llsc_link pid c.llsc_seq;
+          c.llsc_link.(pid) <- c.llsc_seq;
           Value c.value
       | Cell.Register | Cell.Cas_obj | Cell.Writable_cas -> bad_kind "LL" c)
   | Sc (c, v) -> (

@@ -182,6 +182,48 @@ let incremental_replay () =
     "history after rewind linearizes" true
     (Test_support.Aba_check.check_ok ~n h2)
 
+(* The search itself is pinned: the three model-checking configurations
+   timed by the repository benchmark must explore exactly these schedules
+   with exactly this re-execution and reduction work.  Any change to the
+   exploration order, the race detection, the sleep sets or the replay
+   shows up here, not only as a speed change. *)
+let pinned_stats label ~expect_violation
+    (explored, executed, replayed, rebuilds, races, prunes)
+    (r : (_, _) Explore.dpor_result) =
+  let s = r.Explore.stats in
+  let check what want got =
+    Alcotest.(check int) (label ^ " " ^ what) want got
+  in
+  Alcotest.(check string)
+    (label ^ " verdict")
+    (if expect_violation then "violation" else "ok")
+    (verdict_kind r.Explore.verdict);
+  check "explored" explored s.Explore.explored;
+  check "actions_executed" executed s.Explore.actions_executed;
+  check "actions_replayed" replayed s.Explore.actions_replayed;
+  check "rebuilds" rebuilds s.Explore.rebuilds;
+  check "races_detected" races s.Explore.races_detected;
+  check "sleep_set_prunes" prunes s.Explore.sleep_set_prunes
+
+let search_is_pinned () =
+  let w x = Aba_op.DWrite x and r = Aba_op.DRead in
+  pinned_stats "fig4" ~expect_violation:false
+    (43145, 291391, 933395, 43846, 139806, 702)
+    (dpor_aba Instances.aba_fig4
+       [| [ w 1; w 2; w 1 ]; [ r; r; r ]; [ r; w 1; r ] |]);
+  pinned_stats "fig3" ~expect_violation:false
+    (581, 2560, 6218, 580, 1327, 0)
+    (dpor_llsc Instances.llsc_fig3
+       [|
+         [ Llsc_op.Ll; Llsc_op.Sc 1 ];
+         [ Llsc_op.Ll; Llsc_op.Sc 2 ];
+         [ Llsc_op.Ll; Llsc_op.Vl; Llsc_op.Sc 3 ];
+       |]);
+  pinned_stats "tag2" ~expect_violation:true (5, 17, 8, 4, 9, 0)
+    (dpor_aba
+       (Instances.aba_bounded_tag ~tag_bound:2)
+       [| [ w 1; w 1; w 1 ]; [ r; r ] |])
+
 (* Satellite 1: the multinomial either computes exactly or says so. *)
 let count_schedules_boundary () =
   Alcotest.(check (option int))
@@ -221,5 +263,7 @@ let suite =
           incremental_replay;
         Alcotest.test_case "count_schedules overflow boundary" `Quick
           count_schedules_boundary;
+        Alcotest.test_case "benchmark searches are pinned" `Quick
+          search_is_pinned;
       ];
     ]

@@ -198,11 +198,121 @@ let witness_is_a_linearization () =
   | None -> Alcotest.fail "expected a witness"
 
 let malformed_history_rejected () =
-  Alcotest.check_raises "double invoke"
-    (Invalid_argument "Lin_check: history is not well formed") (fun () ->
-      ignore
-        (RC.check_ok ~n:2
-           [ Event.Invoke (0, R.Read); Event.Invoke (0, R.Read) ]))
+  let rejects what h =
+    Alcotest.check_raises what
+      (Invalid_argument "Lin_check: history is not well formed") (fun () ->
+        ignore (RC.check_ok ~n:2 h))
+  in
+  rejects "double invoke"
+    [ Event.Invoke (0, R.Read); Event.Invoke (0, R.Read) ];
+  rejects "second invoke while the first is open"
+    [
+      Event.Invoke (0, R.Read);
+      Event.Invoke (1, R.Write 1);
+      Event.Response (1, R.Write_done);
+      Event.Invoke (0, R.Write 2);
+    ];
+  rejects "response with no invocation" [ Event.Response (1, R.Write_done) ];
+  rejects "response after the operation already responded"
+    [
+      Event.Invoke (0, R.Read);
+      Event.Response (0, R.Read_result (-1));
+      Event.Response (0, R.Read_result (-1));
+    ]
+
+(* --- Differential: the memoized search against brute force --- *)
+
+(* Random histories of at most 6 operations over 2 or 3 processes.  Each
+   raw step either responds to its process's open operation or invokes a
+   new one; operations still open at the end stay pending.  A response is
+   what the specification gives when the operations are applied in
+   response order, replaced by an arbitrary one when [corrupt] is set, so
+   both verdicts occur. *)
+module Differential (S : Aba_spec.Seq_spec.S) (G : sig
+  val name : string
+  val op_of : int -> S.op
+  val arbitrary_res : S.op -> int -> S.res
+end) =
+struct
+  module C = Aba_spec.Lin_check.Make (S)
+  module O = Test_support.Lin_oracle (S)
+
+  let history (npids, raw) =
+    let st = ref (S.init ~n:npids) in
+    let open_op = Array.make npids None in
+    let invoked = ref 0 in
+    List.filter_map
+      (fun (p, sel, corrupt, r) ->
+        let p = p mod npids in
+        match open_op.(p) with
+        | Some op ->
+            open_op.(p) <- None;
+            let st', res = S.apply !st p op in
+            st := st';
+            let res = if corrupt then G.arbitrary_res op r else res in
+            Some (Event.Response (p, res))
+        | None when !invoked < 6 ->
+            incr invoked;
+            let op = G.op_of sel in
+            open_op.(p) <- Some op;
+            Some (Event.Invoke (p, op))
+        | None -> None)
+      raw
+
+  let gen =
+    QCheck2.Gen.(
+      pair (int_range 2 3)
+        (list_size (int_range 0 14)
+           (quad (int_range 0 2) (int_range 0 3)
+              (map (fun k -> k = 0) (int_range 0 3))
+              (int_range 0 5))))
+
+  let test =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000
+         ~name:("check agrees with brute force (" ^ G.name ^ ")")
+         gen
+         (fun input ->
+           let n = fst input in
+           let h = history input in
+           C.check_ok ~n h = O.linearizable ~n h))
+end
+
+module Aba_differential =
+  Differential
+    (A)
+    (struct
+      let name = "ABA register"
+
+      let op_of = function
+        | 0 | 1 -> A.DRead
+        | 2 -> A.DWrite 1
+        | _ -> A.DWrite 2
+
+      let arbitrary_res op r =
+        match op with
+        | A.DRead -> A.Read_result ((r mod 3) - 1, r >= 3)
+        | A.DWrite _ -> A.Write_done
+    end)
+
+module Llsc_differential =
+  Differential
+    (L)
+    (struct
+      let name = "LL/SC"
+
+      let op_of = function
+        | 0 -> L.Ll
+        | 1 -> L.Sc 1
+        | 2 -> L.Sc 2
+        | _ -> L.Vl
+
+      let arbitrary_res op r =
+        match op with
+        | L.Ll -> L.Ll_result (r mod 3)
+        | L.Sc _ -> L.Sc_result (r mod 2 = 0)
+        | L.Vl -> L.Vl_result (r mod 2 = 0)
+    end)
 
 let suite =
   [
@@ -231,4 +341,6 @@ let suite =
       witness_is_a_linearization;
     Alcotest.test_case "malformed history rejected" `Quick
       malformed_history_rejected;
+    Aba_differential.test;
+    Llsc_differential.test;
   ]

@@ -205,76 +205,8 @@ let event_ops_pairing =
 module RSpec = Aba_spec.Register_spec
 module RCheck = Aba_spec.Lin_check.Make (RSpec)
 
-(* Reference: enumerate all permutations of completed ops. *)
-let rec insertions x = function
-  | [] -> [ [ x ] ]
-  | y :: rest as l ->
-      (x :: l) :: List.map (fun r -> y :: r) (insertions x rest)
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | x :: rest -> List.concat_map (insertions x) (permutations rest)
-
-(* One record per completed operation: pid, op, result, invocation and
-   response positions.  Operation k is the k-th response in the history;
-   per-pid FIFO pairing recovers its operation. *)
-type brute_op = {
-  b_pid : int;
-  b_op : RSpec.op;
-  b_res : RSpec.res;
-  b_inv : int;
-  b_rsp : int;
-}
-
-let brute_ops h =
-  let per_pid_ops : (int, (RSpec.op * int) Queue.t) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let out = ref [] in
-  List.iteri
-    (fun time e ->
-      match e with
-      | Event.Invoke (p, op) ->
-          let q =
-            match Hashtbl.find_opt per_pid_ops p with
-            | Some q -> q
-            | None ->
-                let q = Queue.create () in
-                Hashtbl.replace per_pid_ops p q;
-                q
-          in
-          Queue.add (op, time) q
-      | Event.Response (p, r) ->
-          let op, inv = Queue.pop (Hashtbl.find per_pid_ops p) in
-          out :=
-            { b_pid = p; b_op = op; b_res = r; b_inv = inv; b_rsp = time }
-            :: !out)
-    h;
-  List.rev !out
-
-let brute_force_linearizable h =
-  let ops = brute_ops h in
-  let respects_real_time order =
-    (* If a responds before b is invoked, a must precede b. *)
-    let rec check = function
-      | [] -> true
-      | x :: rest ->
-          List.for_all (fun y -> not (y.b_rsp < x.b_inv)) rest && check rest
-    in
-    check order
-  in
-  let replays order =
-    let st = ref (RSpec.init ~n:3) in
-    List.for_all
-      (fun o ->
-        let st', r' = RSpec.apply !st o.b_pid o.b_op in
-        st := st';
-        RSpec.equal_res o.b_res r')
-      order
-  in
-  List.exists
-    (fun order -> respects_real_time order && replays order)
-    (permutations ops)
+(* Reference: the brute-force oracle shared with the lin-check suite. *)
+module ROracle = Test_support.Lin_oracle (RSpec)
 
 let gen_register_history =
   (* Short histories on a register with small values so brute force is
@@ -311,7 +243,7 @@ let checker_matches_brute_force =
       if List.length (Event.ops_of h) > 6 then true
       else
         let fast = RCheck.check_ok ~n:3 h in
-        let slow = brute_force_linearizable h in
+        let slow = ROracle.linearizable ~n:3 h in
         fast = slow)
 
 (* --- Explore.count_schedules --- *)
